@@ -15,6 +15,7 @@
 #include "giop/engine.h"
 #include "transport/dacapo_channel.h"
 #include "transport/ipc_channel.h"
+#include "transport/reactor.h"
 #include "transport/tcp_channel.h"
 
 namespace {
@@ -108,11 +109,20 @@ struct Measurement {
 // both engines, transport, server dispatch and reply combined).
 Measurement MeasureConfig(ChannelPair& pair, int threads, std::size_t depth,
                           Duration duration) {
-  giop::GiopClient client(pair.client.get(), {});
-  giop::GiopServer::Options server_opts;
-  server_opts.worker_threads = 4;
-  giop::GiopServer server(pair.server.get(), Echo, server_opts);
-  cool::Thread server_thread([&server] { (void)server.Serve(); });
+  // An ORB's wiring without the ORB: both engines receive through one
+  // reactor, and upcalls run on a four-worker dispatch pool.
+  transport::Reactor reactor(2);
+  giop::DispatchPool pool(4);
+  giop::GiopClient client(pair.client.get(), reactor, {});
+  giop::GiopServer server(pair.server.get(), pool, Echo,
+                          giop::GiopServer::Options{});
+  transport::ComChannel* server_channel = pair.server.get();
+  const Result<std::uint64_t> serving = reactor.Add(
+      [server_channel](const sim::WaitSet& set, std::uint64_t token) {
+        return server_channel->RegisterRx(set, token);
+      },
+      [&server] { (void)server.Drain(); });
+  if (!serving.ok()) return {};
 
   std::atomic<std::uint64_t> total{0};
   const std::uint64_t allocs0 = cool::bench::AllocCount();
@@ -129,8 +139,8 @@ Measurement MeasureConfig(ChannelPair& pair, int threads, std::size_t depth,
   const double elapsed = ToSeconds(sw.Elapsed());
   const std::uint64_t allocs1 = cool::bench::AllocCount();
 
-  (void)client.SendClose();  // ends the server's Serve loop cleanly
-  server_thread.join();
+  (void)client.SendClose();  // ends the connection cleanly
+  reactor.Remove(*serving);  // before the server it drains
   Measurement m;
   m.msgs_per_sec = static_cast<double>(total.load()) / elapsed;
   if (total.load() > 0) {

@@ -8,6 +8,11 @@
 // flat — the "threads" column is the acceptance number for that claim,
 // and "B/conn" (RSS growth per parked connection) is the acceptance
 // number for the per-connection memory diet.
+//
+// A second sweep covers the client side: one client ORB binds 1 -> 512
+// orb::Stub bindings. Every binding's reply demux is a registration on
+// that ORB's reactor, so the client's threads must stop growing once all
+// of its reactor workers run.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "common/thread.h"
 #include "giop/engine.h"
 #include "orb/orb.h"
+#include "orb/stub.h"
 #include "transport/reactor.h"
 #include "transport/tcp_channel.h"
 
@@ -148,10 +154,8 @@ bool MeasureConns(std::size_t conns, Duration duration, Sample& out) {
   std::vector<std::unique_ptr<giop::GiopClient>> clients;
   clients.reserve(active);
   for (std::size_t i = 0; i < active; ++i) {
-    giop::GiopClient::Options copts;
-    copts.reactor = &client_reactor;
-    clients.push_back(
-        std::make_unique<giop::GiopClient>(parked[i].get(), copts));
+    clients.push_back(std::make_unique<giop::GiopClient>(
+        parked[i].get(), client_reactor, giop::GiopClient::Options{}));
   }
 
   std::atomic<std::uint64_t> total{0};
@@ -200,6 +204,42 @@ bool MeasureConns(std::size_t conns, Duration duration, Sample& out) {
   for (auto& channel : parked) channel->Close();
   server.Shutdown();
   return total.load() > 0;
+}
+
+struct StubSample {
+  int threads_before = -1;  // both ORBs up, no binding yet
+  int threads_bound = -1;   // every stub bound and answered, all held
+  unsigned client_workers = 0;
+};
+
+// One client ORB binds `bindings` TCP stubs to one server ORB and keeps
+// them all bound.
+bool MeasureStubBindings(std::size_t bindings, StubSample& out) {
+  sim::Network net(QuickLink());
+  // One server reactor worker, started by Start()'s accept registrations:
+  // the growth measured below is then the client's alone.
+  orb::ORB::Options server_options;
+  server_options.reactor_threads = 1;
+  orb::ORB server(&net, "server", server_options);
+  auto ref = server.RegisterServant("add", std::make_shared<AddServant>(),
+                                    orb::Protocol::kTcp);
+  if (!ref.ok() || !server.Start().ok()) return false;
+  orb::ORB client(&net, "client");
+  out.client_workers = client.reactor().workers();
+  out.threads_before = ProcessThreads();
+  std::vector<std::unique_ptr<orb::Stub>> stubs;
+  stubs.reserve(bindings);
+  for (std::size_t i = 0; i < bindings; ++i) {
+    stubs.push_back(std::make_unique<orb::Stub>(&client, *ref));
+    cdr::Encoder args = stubs.back()->MakeArgsEncoder();
+    args.PutLong(static_cast<corba::Long>(i));
+    args.PutLong(1);
+    if (!stubs.back()->Invoke("add", args.buffer().view()).ok()) return false;
+  }
+  out.threads_bound = ProcessThreads();
+  stubs.clear();  // the ORB must outlive its stubs
+  server.Shutdown();
+  return true;
 }
 
 }  // namespace
@@ -266,6 +306,39 @@ int main(int argc, char** argv) {
       "must be ~0: accepted-but-idle connections are reactor registrations,\n"
       "not threads.\n",
       base_conns, threads_at_base, counts.back(), threads_at_max);
+
+  cool::bench::Table stub_table(
+      {"bindings", "threads before", "threads bound", "growth"});
+  unsigned client_workers = 0;
+  int max_growth = 0;
+  for (const std::size_t bindings : {std::size_t{1}, std::size_t{8},
+                                     std::size_t{64}, std::size_t{512}}) {
+    StubSample s;
+    if (!MeasureStubBindings(bindings, s)) {
+      std::fprintf(stderr, "stub binding failed at %zu bindings\n",
+                   bindings);
+      return 1;
+    }
+    client_workers = s.client_workers;
+    const int growth = s.threads_bound - s.threads_before;
+    max_growth = growth > max_growth ? growth : max_growth;
+    stub_table.AddRow({std::to_string(bindings),
+                       std::to_string(s.threads_before),
+                       std::to_string(s.threads_bound),
+                       std::to_string(growth)});
+    cool::bench::BenchRecord rec;
+    rec.name = "stub bindings " + std::to_string(bindings);
+    rec.threads = s.threads_bound;
+    records.push_back(std::move(rec));
+  }
+  std::printf(
+      "\n=== Client side: one client ORB, 1 -> 512 stub bindings ===\n");
+  stub_table.Print();
+  std::printf(
+      "\nshape check: growth (max %d) must stay <= the client reactor's %u\n"
+      "workers at every count: bindings are reactor registrations, not\n"
+      "threads.\n",
+      max_growth, client_workers);
 
   if (!args.json_path.empty() &&
       !cool::bench::WriteJson(args.json_path, records)) {

@@ -9,13 +9,14 @@
 //                           is the acceptance floor; DRR should land ~1).
 //   dispatch_weighted       weights 4:2:1 — Jain over weight-normalized
 //                           shares (1.0 = shares track weights exactly).
-//   dispatch_flood_victim_* one paced, well-behaved high-QoS binding vs a
-//                           flooding binding in the SAME class, measured
-//                           under the hierarchical tree and the legacy
-//                           flat-priority scan in the same run. The
+//   dispatch_flood_victim_hier one paced, well-behaved high-QoS binding vs
+//                           a flooding binding in the SAME class. The
 //                           victim's p99 sojourn is the tentpole metric:
-//                           per-binding DRR isolates it from the flood,
-//                           the flat FIFO buries it behind the backlog.
+//                           per-binding DRR isolates it from the flood.
+//                           The flat-priority scan it replaced buried the
+//                           victim behind the backlog; that scheduler is
+//                           retired, and its figure from BENCH_PR9.json is
+//                           printed beside the measured one.
 //   dispatch_rate_cap       a token-bucket-capped binding vs an uncapped
 //                           one — the cap must hold under pressure.
 //   egress_equal/weighted   the same fairness probes against the
@@ -109,13 +110,14 @@ struct FloodResult {
   double victim_served = 0;
 };
 
-// One paced high-band victim against one flooding high-band aggressor,
-// under the given scheduler.
-FloodResult RunFloodScenario(giop::DispatchScheduler scheduler,
-                             Duration run_for) {
+// The flood victim's p99 sojourn under the retired flat-priority scan, in
+// this same scenario (BENCH_PR9.json, dispatch_flood_victim_flat).
+constexpr double kFlatVictimP99Us = 33679.0;
+
+// One paced high-band victim against one flooding high-band aggressor.
+FloodResult RunFloodScenario(Duration run_for) {
   giop::DispatchPool::Options options;
   options.workers = 1;  // sharp contention: one upcall lane
-  options.scheduler = scheduler;
   giop::DispatchPool pool(options);
 
   const Duration work = microseconds(20);
@@ -321,14 +323,9 @@ int Run(int argc, char** argv) {
   }
 
   double hier_p99 = 0;
-  double flat_p99 = 0;
-  {  // --- flood isolation, hierarchical vs flat in the same run ---
-    const FloodResult hier =
-        RunFloodScenario(giop::DispatchScheduler::kHierarchical, run_for);
-    const FloodResult flat =
-        RunFloodScenario(giop::DispatchScheduler::kFlatPriority, run_for);
+  {  // --- flood isolation ---
+    const FloodResult hier = RunFloodScenario(run_for);
     hier_p99 = hier.victim.p99_us;
-    flat_p99 = flat.victim.p99_us;
     BenchRecord rh;
     rh.name = "dispatch_flood_victim_hier";
     rh.p50_us = hier.victim.p50_us;
@@ -336,18 +333,10 @@ int Run(int argc, char** argv) {
     rh.p999_us = hier.victim.p999_us;
     rh.msgs_per_sec = hier.victim_served / secs;
     records.push_back(rh);
-    BenchRecord rf;
-    rf.name = "dispatch_flood_victim_flat";
-    rf.p50_us = flat.victim.p50_us;
-    rf.p99_us = flat.victim.p99_us;
-    rf.p999_us = flat.victim.p999_us;
-    rf.msgs_per_sec = flat.victim_served / secs;
-    records.push_back(rf);
     table.AddRow({rh.name, "-", Fmt("%.0f", rh.p50_us), Fmt("%.0f", rh.p99_us),
-                  Fmt("%.0f", rh.p999_us), "victim vs same-class flood"});
-    table.AddRow({rf.name, "-", Fmt("%.0f", rf.p50_us), Fmt("%.0f", rf.p99_us),
-                  Fmt("%.0f", rf.p999_us),
-                  Fmt("flat/hier p99 = %.1fx", flat_p99 / hier_p99)});
+                  Fmt("%.0f", rh.p999_us),
+                  Fmt("recorded flat/hier p99 = %.1fx",
+                      kFlatVictimP99Us / hier_p99)});
   }
 
   {  // --- token-bucket rate cap holds under pressure ---
@@ -394,8 +383,10 @@ int Run(int argc, char** argv) {
 
   std::printf("bench_qos_fairness (%s)\n", args.smoke ? "smoke" : "full");
   table.Print();
-  std::printf("  flood victim p99: flat %.0fus / hier %.0fus = %.1fx\n",
-              flat_p99, hier_p99, flat_p99 / hier_p99);
+  std::printf(
+      "  flood victim p99: hier %.0fus; retired flat scan %.0fus "
+      "(BENCH_PR9.json) = %.1fx\n",
+      hier_p99, kFlatVictimP99Us, kFlatVictimP99Us / hier_p99);
 
   if (!args.json_path.empty() && !WriteJson(args.json_path, records)) {
     return 1;

@@ -37,9 +37,10 @@ DESIGN.md ("Concurrency model") over src/, tests/, bench/ and examples/:
   10. The reactor owns event-driven I/O in src/transport and src/giop: no
      new thread spawns and no blocking ReceiveMessage call sites outside
      the allowlisted machinery (reactor/epoll workers, the shared dispatch
-     pool, and the documented blocking fallbacks). A connection must cost
-     a reactor registration, not a thread — additions go through
-     Reactor::Add or get an allowlist entry with a justification.
+     pool, and the blocking convenience calls of the ComChannel base). A
+     connection or binding must cost a reactor registration, not a thread
+     — additions go through Reactor::Add or get an allowlist entry with a
+     justification.
   11. No raw std::condition_variable and no this_thread::sleep_for /
      sleep_until in reactor- or dispatch-callback territory (src/transport,
      src/giop): reactor callbacks and pool upcalls run to completion on
@@ -109,7 +110,6 @@ NEW_ALLOWLIST = {
     "src/dacapo/session.cc": ["new Session("],  # private ctor, factory-wrapped
     "src/stream/stream_adapter.cc": ["new FlowConnection("],  # same pattern
     "src/common/buffer_pool.cc": ["new BufferPool()"],  # leaky singleton
-    "src/transport/reactor.cc": ["new Reactor()"],  # leaky singleton
     "src/common/deadlock.cc": ["new State()"],  # leaky singleton (detector)
 }
 
@@ -528,10 +528,10 @@ def check_no_buffer_copies(path: Path, clean: str,
 
 
 # --- rule 10: reactor-owned I/O in src/transport and src/giop ----------------
-# The event-driven connection engine exists so that connections cost reactor
-# registrations, not threads. New thread spawns and new blocking-receive
-# call sites in these directories bypass it; each allowed site is the
-# machinery itself or a documented fallback.
+# The event-driven connection engine exists so that connections and
+# bindings cost reactor registrations, not threads. New thread spawns and
+# new blocking-receive call sites in these directories bypass it; each
+# allowed site is the machinery itself.
 
 REACTOR_DIRS = ("src/transport/", "src/giop/")
 
@@ -546,9 +546,6 @@ THREAD_SPAWN_ALLOWLIST = {
     "src/transport/epoll_poller.cc": ["Loop(stop)"],  # kernel-fd poll loop
     # Legacy input-callback utility (paper §5 callback API), pre-reactor.
     "src/transport/input_callback.cc": ["Run(st)"],
-    # Fallback reader thread when no reactor is configured, and the
-    # private worker pool of pool-less GiopServers.
-    "src/giop/engine.cc": ["ReaderLoop(stop)", "WorkerLoop()"],
     "src/giop/dispatch_pool.cc": ["WorkerLoop()"],  # the shared pool itself
 }
 
@@ -562,11 +559,6 @@ BLOCKING_RECV_ALLOWLIST = {
     # and the legacy input-callback pump) — explicitly blocking by contract.
     "src/transport/com_channel.cc": ["ReceiveMessage(timeout)",
                                      "ReceiveMessage(seconds(30))"],
-    # ReaderLoop's poll quantum (reactor fallback) and the blocking
-    # ServeOne used by transports without a non-blocking receive path.
-    "src/giop/engine.cc": ["options_.reader_poll", "ReceiveMessage(timeout)"],
-    # COOL wire protocol: the deliberately simple ablation baseline.
-    "src/giop/cool_protocol.cc": ["ReceiveMessage(timeout)"],
 }
 
 
@@ -668,10 +660,9 @@ def check_burst_data_path(path: Path, clean: str,
 # --- rule 14: all dispatch/egress work enters through the scheduler ----------
 # The hierarchical QoS scheduler (common/qos_sched.h, DESIGN.md §13) is
 # only fair if every job and every egress ticket passes through its
-# accounting: DispatchPool::Submit and EgressScheduler::Acquire. A direct
-# push onto the pool's queues (flat_queues_), a stray TrafficClassTree on
-# the data path, or a raw tree Enqueue outside the owning implementations
-# bypasses WFQ/DRR/CoDel and silently reintroduces
+# accounting: DispatchPool::Submit and EgressScheduler::Acquire. A stray
+# TrafficClassTree on the data path, or a raw tree Enqueue outside the
+# owning implementations, bypasses WFQ/DRR/CoDel and silently reintroduces
 # first-grabbed-lock-wins.
 
 SCHED_OWNER_FILES = {
@@ -683,7 +674,7 @@ SCHED_OWNER_FILES = {
 }
 
 SCHED_BYPASS_RE = re.compile(
-    r"\bflat_queues_\b|\bTrafficClassTree\s*<|\btree_\s*\.\s*Enqueue\s*\("
+    r"\bTrafficClassTree\s*<|\btree_\s*\.\s*Enqueue\s*\("
 )
 
 

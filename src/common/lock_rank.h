@@ -52,7 +52,7 @@ enum class LockRank : int {
   // and the reactor/epoll bookkeeping locks.
   kChannel = 50,
 
-  // giop::DispatchPool queues (shared pool and GiopServer private pool).
+  // giop::DispatchPool queues and each GiopServer's cancel bookkeeping.
   kDispatchPool = 60,
 
   // GIOP engine state: client demux table and send serialization, server

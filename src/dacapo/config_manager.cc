@@ -1,6 +1,7 @@
 #include "dacapo/config_manager.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -56,8 +57,11 @@ double ConfigurationManager::EstimateThroughputKbps(
   // Modules form a thread pipeline: sustained rate is set by the slowest
   // stage, not the sum of stages.
   const double pipeline_bps = pkt * 8.0 / (max_stage_us / 1e6);
-  const double wire_goodput_bps = static_cast<double>(net.bandwidth_bps) *
-                                  pkt / (pkt + static_cast<double>(header_bytes));
+  const double wire_goodput_bps =
+      net.bandwidth_bps == 0
+          ? std::numeric_limits<double>::infinity()
+          : static_cast<double>(net.bandwidth_bps) * pkt /
+                (pkt + static_cast<double>(header_bytes));
 
   double bps = std::min(pipeline_bps, wire_goodput_bps);
   if (window_limit_bps >= 0) bps = std::min(bps, window_limit_bps);
@@ -81,8 +85,10 @@ double ConfigurationManager::EstimateLatencyMicros(
   }
 
   const double serialization_us =
-      (pkt + static_cast<double>(header_bytes)) * 8.0 /
-      static_cast<double>(net.bandwidth_bps) * 1e6;
+      net.bandwidth_bps == 0
+          ? 0.0
+          : (pkt + static_cast<double>(header_bytes)) * 8.0 /
+                static_cast<double>(net.bandwidth_bps) * 1e6;
   const double propagation_us = static_cast<double>(net.rtt_us) / 2.0;
   return processing_us + serialization_us + propagation_us;
 }
@@ -131,8 +137,14 @@ Result<ConfiguredGraph> ConfigurationManager::Configure(
     if (req.min_throughput_kbps != 0 &&
         static_cast<double>(req.min_throughput_kbps) > irq_kbps / 2.0) {
       m.name = mechanisms::kGoBackN;
+      // Twice the bandwidth-delay product; an unbounded link has none, so
+      // the requested rate stands in for the bandwidth.
+      const double window_bps =
+          net.bandwidth_bps != 0
+              ? static_cast<double>(net.bandwidth_bps)
+              : static_cast<double>(req.min_throughput_kbps) * 1000.0;
       const double bdp_packets =
-          static_cast<double>(net.bandwidth_bps) * rtt_s /
+          window_bps * rtt_s /
           (static_cast<double>(net.typical_packet_bytes) * 8.0);
       m.params["window"] =
           std::max<std::int64_t>(4, static_cast<std::int64_t>(bdp_packets) * 2);

@@ -21,6 +21,8 @@ namespace cool::dacapo {
 
 // What layer T offers underneath the configured protocol.
 struct NetworkEstimate {
+  // 0 = unbounded, as in sim::LinkProperties: the wire neither caps the
+  // rate nor adds serialization delay.
   std::uint64_t bandwidth_bps = 100'000'000;
   std::uint32_t rtt_us = 1000;
   double loss_rate = 0.0;             // datagram loss of the raw service

@@ -1,7 +1,5 @@
 #include "giop/cool_protocol.h"
 
-#include "common/logging.h"
-
 namespace cool::coolproto {
 
 namespace {
@@ -233,11 +231,8 @@ Status CoolClient::InvokeOneway(
   return channel_->SendMessage(EncodeRequest(request).view());
 }
 
-Status CoolServer::ServeOne(Duration timeout) {
-  auto raw = channel_->ReceiveMessage(timeout);
-  if (!raw.ok()) return raw.status();
-
-  auto request = DecodeRequest(raw->view());
+Status CoolServer::HandleFrame(const ByteBuffer& raw) {
+  auto request = DecodeRequest(raw.view());
   if (!request.ok()) {
     (void)channel_->SendMessage(EncodeError().view());
     return request.status();
@@ -254,18 +249,6 @@ Status CoolServer::ServeOne(Duration timeout) {
   const auto view = result.body.view();
   reply.results.assign(view.begin(), view.end());
   return channel_->SendMessage(EncodeReply(reply).view());
-}
-
-Status CoolServer::Serve() {
-  for (;;) {
-    Status s = ServeOne(seconds(3600));
-    if (s.ok()) continue;
-    if (s.code() == ErrorCode::kProtocolError) {
-      COOL_LOG(kWarn, "coolproto") << "protocol error: " << s;
-      continue;
-    }
-    return s;
-  }
 }
 
 }  // namespace cool::coolproto

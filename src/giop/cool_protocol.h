@@ -93,8 +93,11 @@ class CoolServer {
   CoolServer(transport::ComChannel* channel, Dispatcher dispatcher)
       : channel_(channel), dispatcher_(std::move(dispatcher)) {}
 
-  Status ServeOne(Duration timeout = seconds(30));
-  Status Serve();
+  // Handles one received message: decodes the Request, runs the upcall
+  // inline and sends the Reply. Malformed input is answered with an Error
+  // message and reported as the decode status. Receiving is the caller's
+  // job, as for giop::GiopServer::HandleFrame.
+  Status HandleFrame(const ByteBuffer& raw);
 
   std::uint64_t requests_served() const noexcept { return requests_served_; }
 

@@ -109,23 +109,16 @@ bool DispatchPool::Submit(DispatchRunner* runner, std::uint64_t runner_id,
     job_space_.Wait(mu_);
   }
   if (closed_ || detached_.contains(runner_id)) return false;
-  const TimePoint now = Now();
   Entry entry;
   entry.runner = runner;
   entry.runner_id = runner_id;
   entry.job = std::move(job);
-  entry.enqueued_at = now;
-  const std::size_t band = BandIndex(profile.band);
-  if (options_.scheduler == DispatchScheduler::kHierarchical) {
-    const std::size_t cost = kJobBaseCost + entry.job.msg.body().size();
-    sched::FlowProfile flow;
-    flow.weight = profile.weight;
-    flow.rate_bytes_per_sec = profile.rate_bytes_per_sec;
-    tree_.Enqueue(cls_id_[band], runner_id, flow, std::move(entry), cost, now);
-  } else {
-    flat_stats_[band].enqueued++;
-    flat_queues_[band].push_back(std::move(entry));
-  }
+  const std::size_t cost = kJobBaseCost + entry.job.msg.body().size();
+  sched::FlowProfile flow;
+  flow.weight = profile.weight;
+  flow.rate_bytes_per_sec = profile.rate_bytes_per_sec;
+  tree_.Enqueue(cls_id_[BandIndex(profile.band)], runner_id, flow,
+                std::move(entry), cost, Now());
   ++queued_;
   job_ready_.NotifyOne();
   return true;
@@ -139,59 +132,30 @@ bool DispatchPool::Submit(DispatchRunner* runner, std::uint64_t runner_id,
 bool DispatchPool::CancelQueued(std::uint64_t runner_id,
                                 corba::ULong request_id) {
   MutexLock lock(mu_);
-  if (options_.scheduler == DispatchScheduler::kHierarchical) {
-    bool found = false;
-    tree_.RemoveIf([&](Tree::ClassId, std::uint64_t, const Entry& e) {
-      if (found || e.runner_id != runner_id ||
-          e.job.header.request_id != request_id) {
-        return false;
-      }
-      found = true;
-      return true;
-    });
-    if (!found) return false;
-    --queued_;
-    job_space_.NotifyOne();
-    return true;
-  }
-  for (auto& q : flat_queues_) {
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (it->runner_id != runner_id ||
-          it->job.header.request_id != request_id) {
-        continue;
-      }
-      q.erase(it);
-      --queued_;
-      job_space_.NotifyOne();
-      return true;
+  bool found = false;
+  tree_.RemoveIf([&](Tree::ClassId, std::uint64_t, const Entry& e) {
+    if (found || e.runner_id != runner_id ||
+        e.job.header.request_id != request_id) {
+      return false;
     }
-  }
-  return false;
+    found = true;
+    return true;
+  });
+  if (!found) return false;
+  --queued_;
+  job_space_.NotifyOne();
+  return true;
 }
 
 void DispatchPool::DetachRunner(std::uint64_t runner_id) {
   MutexLock lock(mu_);
   detached_.insert(runner_id);
-  std::size_t removed = 0;
-  if (options_.scheduler == DispatchScheduler::kHierarchical) {
-    removed = tree_.RemoveIf([&](Tree::ClassId, std::uint64_t,
-                                 const Entry& e) {
-      return e.runner_id == runner_id;
-    });
-    for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-      tree_.RemoveFlow(cls_id_[i], runner_id);
-    }
-  } else {
-    for (auto& q : flat_queues_) {
-      for (auto it = q.begin(); it != q.end();) {
-        if (it->runner_id == runner_id) {
-          it = q.erase(it);
-          ++removed;
-        } else {
-          ++it;
-        }
-      }
-    }
+  const std::size_t removed =
+      tree_.RemoveIf([&](Tree::ClassId, std::uint64_t, const Entry& e) {
+        return e.runner_id == runner_id;
+      });
+  for (std::size_t i = 0; i < kDispatchClasses; ++i) {
+    tree_.RemoveFlow(cls_id_[i], runner_id);
   }
   for (std::size_t i = 0; i < removed; ++i) {
     --queued_;
@@ -227,51 +191,29 @@ DispatchPool::Next DispatchPool::NextDecision() {
   for (;;) {
     Next out;
     const TimePoint now = Now();
-    if (options_.scheduler == DispatchScheduler::kHierarchical) {
-      std::vector<Tree::Served> drops;
-      std::optional<Tree::Served> served =
-          tree_.Dequeue(now, &drops, /*drain=*/closed_);
-      for (Tree::Served& d : drops) {
-        ++running_[d.value.runner_id];  // pop+mark atomic: detach barrier
-        --queued_;
-        job_space_.NotifyOne();
-        out.dropped.push_back(std::move(d.value));
-      }
-      if (served.has_value()) {
-        ++running_[served->value.runner_id];
-        --queued_;
-        job_space_.NotifyOne();
-        out.entry = std::move(served->value);
-      }
-      if (out.HasWork()) return out;
-      if (closed_ && tree_.empty()) return out;  // closed + drained: exit
-      if (std::optional<TimePoint> ready = tree_.NextReadyTime(now)) {
-        // Queued work gated on a token bucket: sleep until the grant.
-        job_ready_.WaitUntil(mu_, *ready);
-      } else {
-        job_ready_.Wait(mu_);
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-      auto& q = flat_queues_[i];  // highest priority class first
-      if (q.empty()) continue;
-      Entry entry = std::move(q.front());
-      q.pop_front();
+    std::vector<Tree::Served> drops;
+    std::optional<Tree::Served> served =
+        tree_.Dequeue(now, &drops, /*drain=*/closed_);
+    for (Tree::Served& d : drops) {
+      ++running_[d.value.runner_id];  // pop+mark atomic: detach barrier
       --queued_;
-      ++running_[entry.runner_id];
-      flat_stats_[i].dequeued++;
-      const Duration sojourn =
-          now > entry.enqueued_at ? now - entry.enqueued_at : Duration{};
-      flat_stats_[i].sojourn_us.Add(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(sojourn)
-              .count()));
       job_space_.NotifyOne();
-      out.entry = std::move(entry);
-      return out;
+      out.dropped.push_back(std::move(d.value));
     }
-    if (closed_) return out;
-    job_ready_.Wait(mu_);
+    if (served.has_value()) {
+      ++running_[served->value.runner_id];
+      --queued_;
+      job_space_.NotifyOne();
+      out.entry = std::move(served->value);
+    }
+    if (out.HasWork()) return out;
+    if (closed_ && tree_.empty()) return out;  // closed + drained: exit
+    if (std::optional<TimePoint> ready = tree_.NextReadyTime(now)) {
+      // Queued work gated on a token bucket: sleep until the grant.
+      job_ready_.WaitUntil(mu_, *ready);
+    } else {
+      job_ready_.Wait(mu_);
+    }
   }
 }
 
@@ -312,34 +254,19 @@ std::array<DispatchClassStats, kDispatchClasses> DispatchPool::StatsSnapshot()
     const {
   std::array<DispatchClassStats, kDispatchClasses> out;
   MutexLock lock(mu_);
-  if (options_.scheduler == DispatchScheduler::kHierarchical) {
-    std::vector<sched::ClassSnapshot> snap = tree_.Snapshot();
-    for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-      const sched::ClassSnapshot& cls = snap[cls_id_[i]];
-      out[i].name = cls.name;
-      out[i].queued = cls.queued;
-      out[i].enqueued = cls.enqueued;
-      out[i].dispatched = cls.dequeued;
-      out[i].dropped = cls.dropped;
-      out[i].sojourn_p50_us = cls.sojourn_p50_us;
-      out[i].sojourn_p99_us = cls.sojourn_p99_us;
-      out[i].sojourn_p999_us = cls.sojourn_p999_us;
-      out[i].sojourn_max_us = cls.sojourn_max_us;
-      out[i].bindings = cls.flows;
-    }
-    return out;
-  }
-  static constexpr const char* kNames[kDispatchClasses] = {"high", "normal",
-                                                           "low"};
+  std::vector<sched::ClassSnapshot> snap = tree_.Snapshot();
   for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-    out[i].name = kNames[i];
-    out[i].queued = flat_queues_[i].size();
-    out[i].enqueued = flat_stats_[i].enqueued;
-    out[i].dispatched = flat_stats_[i].dequeued;
-    out[i].sojourn_p50_us = flat_stats_[i].sojourn_us.Percentile(50);
-    out[i].sojourn_p99_us = flat_stats_[i].sojourn_us.Percentile(99);
-    out[i].sojourn_p999_us = flat_stats_[i].sojourn_us.Percentile(99.9);
-    out[i].sojourn_max_us = flat_stats_[i].sojourn_us.max();
+    const sched::ClassSnapshot& cls = snap[cls_id_[i]];
+    out[i].name = cls.name;
+    out[i].queued = cls.queued;
+    out[i].enqueued = cls.enqueued;
+    out[i].dispatched = cls.dequeued;
+    out[i].dropped = cls.dropped;
+    out[i].sojourn_p50_us = cls.sojourn_p50_us;
+    out[i].sojourn_p99_us = cls.sojourn_p99_us;
+    out[i].sojourn_p999_us = cls.sojourn_p999_us;
+    out[i].sojourn_max_us = cls.sojourn_max_us;
+    out[i].bindings = cls.flows;
   }
   return out;
 }

@@ -5,9 +5,9 @@
 // per-binding queues — and run on a fixed set of workers, so ten thousand
 // idle connections cost zero dispatch threads and a bursty tenant cannot
 // starve its neighbours (paper §4.2: the extension's QoS semantics survive
-// server-side concurrency). The legacy strict-priority three-deque scan
-// survives as DispatchScheduler::kFlatPriority, the in-run baseline for
-// bench_qos_fairness. Each GiopServer participates as a DispatchRunner
+// server-side concurrency). The strict-priority scan it replaced is
+// retired; its flood-victim figures are recorded in BENCH_PR9.json. Each
+// GiopServer participates as a DispatchRunner
 // under a runner id; detaching a runner is a barrier that removes its
 // queued jobs and waits out its in-flight upcalls, making connection
 // teardown safe while the pool lives on.
@@ -15,7 +15,6 @@
 
 #include <array>
 #include <atomic>
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -50,12 +49,6 @@ DispatchClass ClassifyQoS(
 
 // Default worker-pool size: one upcall thread per hardware thread.
 std::size_t DefaultWorkerThreads() noexcept;
-
-// Which scheduler arbitrates queued dispatches.
-enum class DispatchScheduler {
-  kHierarchical,  // WFQ bands + per-binding DRR + optional CoDel
-  kFlatPriority,  // legacy strict-priority scan (baseline / A-B runs)
-};
 
 // One admitted Request on its way to a servant upcall. The ParsedMessage
 // owns the transport frame; the args decoder reads straight out of it.
@@ -97,7 +90,7 @@ struct DispatchClassStats {
   std::uint64_t sojourn_p99_us = 0;
   std::uint64_t sojourn_p999_us = 0;
   std::uint64_t sojourn_max_us = 0;
-  // Per-binding rows (hierarchical mode only; flat mode reports none).
+  // Per-binding rows.
   std::vector<sched::FlowSnapshot> bindings;
 };
 
@@ -106,16 +99,15 @@ class DispatchPool {
   struct Options {
     std::size_t workers = DefaultWorkerThreads();
     std::size_t queue_capacity = 1024;
-    DispatchScheduler scheduler = DispatchScheduler::kHierarchical;
     // WFQ weights of the High/Normal/Low bands. High outweighs Low 8:1 at
-    // saturation yet Low keeps 1/13 of the workers — the anti-starvation
-    // floor the flat scan never had.
+    // saturation yet Low keeps 1/13 of the workers — an anti-starvation
+    // floor a strict-priority scan does not have.
     std::array<std::uint32_t, kDispatchClasses> class_weights{8, 4, 1};
     // DRR quantum among bindings, in job-cost units (see kJobBaseCost).
     std::uint32_t quantum_bytes = 4096;
     // CoDel AQM on the per-binding queues. Off by default: shedding a
     // dispatch surfaces as a TRANSIENT system exception at the client,
-    // a policy the ORB owner opts into (README "qos_scheduler" knobs).
+    // a policy the ORB owner opts into (README, giop knobs).
     bool codel_enabled = false;
     Duration codel_target = milliseconds(5);
     Duration codel_interval = milliseconds(100);
@@ -182,7 +174,6 @@ class DispatchPool {
     DispatchRunner* runner = nullptr;
     std::uint64_t runner_id = 0;
     DispatchJob job;
-    TimePoint enqueued_at{};  // flat-mode sojourn (the tree keeps its own)
   };
 
   using Tree = sched::TrafficClassTree<Entry>;
@@ -214,18 +205,6 @@ class DispatchPool {
   // keyed by cls_id_, flows keyed by runner id (one flow per binding).
   Tree tree_ COOL_GUARDED_BY(mu_){};
   std::array<Tree::ClassId, kDispatchClasses> cls_id_ COOL_GUARDED_BY(mu_){};
-  // Flat-priority baseline state (DispatchScheduler::kFlatPriority only).
-  // Direct pushes onto flat_queues_ outside Submit bypass the scheduler
-  // and are banned by scripts/check_invariants.py rule 14.
-  std::array<std::deque<Entry>, kDispatchClasses> flat_queues_
-      COOL_GUARDED_BY(mu_);
-  // Flat-mode per-class counters/sojourn (same surface as the tree's).
-  struct FlatStats {
-    std::uint64_t enqueued = 0;
-    std::uint64_t dequeued = 0;
-    Histogram sojourn_us;
-  };
-  std::array<FlatStats, kDispatchClasses> flat_stats_ COOL_GUARDED_BY(mu_);
   std::size_t queued_ COOL_GUARDED_BY(mu_) = 0;
   bool closed_ COOL_GUARDED_BY(mu_) = false;
   CondVar job_ready_;

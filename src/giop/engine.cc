@@ -15,14 +15,14 @@ cdr::Decoder GiopClient::Reply::MakeResultsDecoder() const {
 }
 
 GiopClient::~GiopClient() {
-  if (reactor_registered_) {
-    // Barrier: no demux callback is running once Remove returns.
-    options_.reactor->Remove(rx_reg_);
+  std::uint64_t reg = 0;
+  {
+    MutexLock lock(mu_);
+    reg = rx_reg_;
   }
-  if (reader_.joinable()) {
-    reader_.request_stop();
-    reader_.join();
-  }
+  // Barrier: no demux callback is running once Remove returns. Outside
+  // mu_, which the callback takes.
+  reactor_.Remove(reg);
 }
 
 ByteBuffer GiopClient::BuildRequestHead(
@@ -59,24 +59,19 @@ Status GiopClient::SendSerializedV(const ByteBuffer& head,
   return channel_->SendMessageV(parts);
 }
 
-void GiopClient::EnsureReaderLocked() {
-  if (reader_started_) return;
-  reader_started_ = true;
-  if (options_.reactor != nullptr) {
-    auto reg = options_.reactor->Add(
-        [this](const sim::WaitSet& set, std::uint64_t token) {
-          return channel_->RegisterRx(set, token);
-        },
-        [this] { DrainReactor(); });
-    if (reg.ok()) {
-      reactor_registered_ = true;
-      rx_reg_ = *reg;
-      return;
-    }
-    // Channel has no non-blocking receive path: fall back to the polling
-    // reader thread below.
+Status GiopClient::EnsureRegisteredLocked() {
+  if (rx_reg_ != 0) return Status::Ok();
+  Result<std::uint64_t> reg = reactor_.Add(
+      [this](const sim::WaitSet& set, std::uint64_t token) {
+        return channel_->RegisterRx(set, token);
+      },
+      [this] { DrainReactor(); });
+  if (!reg.ok()) {
+    broken_ = reg.status();
+    return broken_;
   }
-  reader_ = Thread([this](std::stop_token stop) { ReaderLoop(stop); });
+  rx_reg_ = *reg;
+  return Status::Ok();
 }
 
 Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
@@ -90,7 +85,7 @@ Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
   }
   if (!slot->done) {
     if (abandon_on_timeout) {
-      // The Reply may still arrive; remember the id so the demux reader
+      // The Reply may still arrive; remember the id so the demux
       // discards it instead of flagging an unknown-id protocol error.
       pending_.erase(id);
       AbandonLocked(id);
@@ -100,20 +95,6 @@ Result<ParsedMessage> GiopClient::AwaitSlot(corba::ULong id,
   }
   pending_.erase(id);
   return std::move(slot->outcome);
-}
-
-void GiopClient::ReaderLoop(std::stop_token stop) {
-  while (!stop.stop_requested()) {
-    auto raw = channel_->ReceiveMessage(options_.reader_poll);
-    if (!raw.ok()) {
-      if (raw.status().code() == ErrorCode::kDeadlineExceeded) {
-        continue;  // idle poll quantum: re-check the stop token
-      }
-      FailPending(raw.status(), /*terminal=*/true);
-      return;
-    }
-    if (HandleFrame(*std::move(raw))) return;
-  }
 }
 
 void GiopClient::DrainReactor() {
@@ -387,22 +368,6 @@ Status GiopServer::DispatchAndReply(const DispatchJob& job) {
   return SendSerializedV(head, result.body.view());
 }
 
-DispatchPool* GiopServer::EnsurePrivatePool() {
-  MutexLock lock(pool_mu_);
-  if (pool_closed_) return nullptr;
-  if (private_pool_ == nullptr) {
-    DispatchPool::Options pool_options;
-    pool_options.workers = options_->worker_threads;
-    pool_options.queue_capacity = options_->queue_capacity;
-    pool_options.scheduler = options_->scheduler;
-    pool_options.codel_enabled = options_->codel_enabled;
-    pool_options.codel_target = options_->codel_target;
-    pool_options.codel_interval = options_->codel_interval;
-    private_pool_ = std::make_unique<DispatchPool>(pool_options);
-  }
-  return private_pool_.get();
-}
-
 void GiopServer::RunDispatchJob(const DispatchJob& job) {
   {
     // Last-chance cancel: a CancelRequest that raced the dequeue.
@@ -468,23 +433,14 @@ void GiopServer::RememberCancelLocked(corba::ULong id) {
 }
 
 void GiopServer::Close() {
-  DispatchPool* private_pool = nullptr;
   {
     MutexLock lock(pool_mu_);
     if (pool_closed_) return;
     pool_closed_ = true;
-    private_pool = private_pool_.get();
   }
-  if (options_->pool != nullptr) {
-    // Shared pool: barrier out our queued and in-flight jobs; the pool
-    // itself lives on for other connections.
-    options_->pool->DetachRunner(runner_id_);
-  }
-  if (private_pool != nullptr) {
-    // Private pool: drain queued upcalls and join its workers. The object
-    // itself lives until the destructor (HandleCancel may still read it).
-    private_pool->Close();
-  }
+  // Barrier out our queued and in-flight jobs; the pool itself lives on
+  // for other connections.
+  pool_.DetachRunner(runner_id_);
   MutexLock lock(pool_mu_);
   cancel_memory_.reset();
 }
@@ -511,45 +467,23 @@ Status GiopServer::HandleRequest(ParsedMessage msg) {
   job.header = *std::move(header);
   job.msg = std::move(msg);
 
-  if (options_->pool == nullptr && options_->worker_threads == 0) {
-    return DispatchAndReply(job);  // historical inline mode
-  }
-  // Shared or private pool: the request's QoS parameters become a full
-  // scheduling profile (band + weight + rate), the classify stage of the
-  // hierarchical scheduler. Submit runs outside pool_mu_ — it blocks for
-  // backpressure.
-  DispatchPool* pool = options_->pool;
-  if (pool == nullptr) {
-    pool = EnsurePrivatePool();
-    if (pool == nullptr) {
-      return Status(CancelledError("server worker pool is closed"));
-    }
-  }
+  // The request's QoS parameters become a full scheduling profile (band +
+  // weight + rate), the classify stage of the hierarchical scheduler.
+  // Submit runs outside pool_mu_ — it blocks for backpressure.
   const qos::SchedProfile profile =
       qos::ClassifyForScheduling(job.header.qos_params);
-  if (!pool->Submit(this, runner_id_, profile, std::move(job))) {
+  if (!pool_.Submit(this, runner_id_, profile, std::move(job))) {
     return Status(CancelledError("server dispatch pool is closed"));
   }
   return Status::Ok();
 }
 
 Status GiopServer::HandleCancel(corba::ULong request_id) {
-  // Kill a queued-but-unstarted dispatch outright — shared pool first,
-  // then the private pool. CancelQueued takes the pool's own lock, so it
-  // must run outside pool_mu_ (kEngine ranks above kDispatchPool only in
-  // the Submit direction; keeping them unnested sidesteps the question).
-  if (options_->pool != nullptr &&
-      options_->pool->CancelQueued(runner_id_, request_id)) {
-    requests_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    return Status::Ok();
-  }
-  DispatchPool* private_pool = nullptr;
-  {
-    MutexLock lock(pool_mu_);
-    private_pool = private_pool_.get();
-  }
-  if (private_pool != nullptr &&
-      private_pool->CancelQueued(runner_id_, request_id)) {
+  // Kill a queued-but-unstarted dispatch outright. CancelQueued takes the
+  // pool's own lock, so it must run outside pool_mu_ (kEngine ranks above
+  // kDispatchPool only in the Submit direction; keeping them unnested
+  // sidesteps the question).
+  if (pool_.CancelQueued(runner_id_, request_id)) {
     requests_cancelled_.fetch_add(1, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -559,12 +493,6 @@ Status GiopServer::HandleCancel(corba::ULong request_id) {
   MutexLock lock(pool_mu_);
   RememberCancelLocked(request_id);
   return Status::Ok();
-}
-
-Status GiopServer::ServeOne(Duration timeout) {
-  auto raw = channel_->ReceiveMessage(timeout);
-  if (!raw.ok()) return raw.status();
-  return HandleFrame(*std::move(raw));
 }
 
 Status GiopServer::HandleFrame(ByteBuffer raw) {
@@ -622,24 +550,20 @@ Status GiopServer::HandleFrame(ByteBuffer raw) {
   return InternalError("unreachable GIOP message type");
 }
 
-Status GiopServer::Serve() {
-  Status result = Status::Ok();
+Result<std::size_t> GiopServer::Drain() {
+  std::size_t handled = 0;
   for (;;) {
-    Status s = ServeOne(seconds(3600));
+    Result<std::optional<ByteBuffer>> raw = channel_->TryReceiveMessage();
+    if (!raw.ok()) return raw.status();  // closed, or transport failure
+    if (!raw->has_value()) return handled;  // drained; wait for readiness
+    ++handled;
+    const Status s = HandleFrame(*std::move(*raw));
     if (s.ok()) continue;
-    if (s.code() == ErrorCode::kProtocolError) {
-      // Protocol damage is reported but the connection soldiers on, as
-      // GIOP prescribes after MessageError.
-      COOL_LOG(kWarn, "giop") << "protocol error on connection: " << s;
-      continue;
-    }
-    result = s;
-    break;
+    if (s.code() != ErrorCode::kProtocolError) return s;
+    // Protocol damage is reported but the connection soldiers on, as GIOP
+    // prescribes after MessageError.
+    COOL_LOG(kWarn, "giop") << "protocol error on connection: " << s;
   }
-  // Connection over: finish queued upcalls, stop the pool, drop the
-  // cancel memory (satellite: evict on connection close).
-  Close();
-  return result;
 }
 
 }  // namespace cool::giop

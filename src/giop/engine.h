@@ -6,20 +6,21 @@
 //
 // Both engines multiplex one channel across many in-flight requests:
 //
-//  * GiopClient runs a reply demultiplexer: with a Reactor in Options the
-//    demux is a reactor callback draining the channel's non-blocking
-//    receive path (no thread per binding); otherwise a polling reader
-//    thread drains the channel. Either way, per-request slots keyed by
-//    request id let Invoke / InvokeDeferred / Locate from any number of
-//    caller threads pipeline over the same connection. No lock is ever
-//    held across blocking I/O (scripts/check_invariants.py rule 8).
-//  * GiopServer runs dispatcher upcalls on a priority worker pool — a
-//    shared DispatchPool (one per ORB, via Options.pool) or a private one
-//    (Options.worker_threads; 0 = inline dispatch in the receive loop).
-//    Replies may return out of order; only the reply *send* is serialized.
-//    A CancelRequest kills a queued-but-unstarted dispatch, and per-request
-//    QoS parameters (9.9 Requests) map to dispatch priority classes so the
-//    paper's QoS semantics survive concurrency.
+// Neither engine owns a thread or ever blocks on a receive; bytes come in
+// only through a transport::Reactor registration draining the channel's
+// non-blocking receive path:
+//
+//  * GiopClient demultiplexes replies from a reactor callback (no thread
+//    per binding). Per-request slots keyed by request id let Invoke /
+//    InvokeDeferred / Locate from any number of caller threads pipeline
+//    over the same connection. No lock is ever held across blocking I/O
+//    (scripts/check_invariants.py rule 8).
+//  * GiopServer::Drain is the server's receive loop, called from the
+//    connection's reactor callback. Upcalls run on a shared DispatchPool
+//    (one per ORB) whose hierarchical scheduler orders them by the 9.9
+//    Request's QoS parameters, so the paper's QoS semantics survive
+//    concurrency. Replies may return out of order; only the reply *send* is
+//    serialized. A CancelRequest kills a queued-but-unstarted dispatch.
 #pragma once
 
 #include <array>
@@ -33,7 +34,6 @@
 
 #include "common/buffer_pool.h"
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "giop/dispatch_pool.h"
 #include "giop/message.h"
 #include "transport/com_channel.h"
@@ -54,20 +54,14 @@ class GiopClient {
     // Cap on remembered cancelled/timed-out request ids whose late replies
     // must be discarded; oldest entries are FIFO-evicted beyond this.
     std::size_t abandoned_cap = 1024;
-    // Poll quantum of the demux reader thread: the granularity at which it
-    // notices a stop request on an otherwise idle connection. (A close of
-    // the channel interrupts the wait immediately; the quantum only bounds
-    // how long a stop request on a healthy idle connection goes unnoticed.)
-    Duration reader_poll = milliseconds(50);
-    // Reply demultiplexing via a reactor callback instead of a dedicated
-    // reader thread. Used when the channel supports the non-blocking
-    // receive path (RegisterRx); falls back to the reader thread otherwise.
-    transport::Reactor* reactor = nullptr;
   };
 
-  // The channel must outlive the engine.
-  GiopClient(transport::ComChannel* channel, Options options)
-      : channel_(channel), options_(std::move(options)) {}
+  // Replies are demultiplexed by a registration on `reactor`, made with the
+  // first call that expects an answer. The channel and the reactor must
+  // outlive the engine; the destructor removes the registration.
+  GiopClient(transport::ComChannel* channel, transport::Reactor& reactor,
+             Options options)
+      : channel_(channel), reactor_(reactor), options_(std::move(options)) {}
   ~GiopClient();
 
   GiopClient(const GiopClient&) = delete;
@@ -120,7 +114,7 @@ class GiopClient {
 
   // Sends CancelRequest and locally abandons the id: a waiting caller is
   // released with kCancelled, and a late Reply for it is discarded by the
-  // demux reader.
+  // demux.
   Status Cancel(corba::ULong request_id);
 
   // GIOP object location probe.
@@ -164,7 +158,7 @@ class GiopClient {
     std::shared_ptr<Slot> slot;
   };
 
-  // Allocates an id + slot, starts the demux reader if needed, and sends
+  // Allocates an id + slot, registers the demux if needed, and sends
   // the message whose preamble `build_head(id)` returns followed by `tail`
   // (empty for messages built whole, e.g. LocateRequest) as one gathered
   // write. Fails fast once the connection is known to be broken. Templated
@@ -182,12 +176,13 @@ class GiopClient {
                                   const std::shared_ptr<Slot>& slot,
                                   Duration timeout, bool abandon_on_timeout);
 
-  void EnsureReaderLocked() COOL_REQUIRES(mu_);
-  void ReaderLoop(std::stop_token stop);
+  // Registers the reply demux with the reactor on first use; on failure
+  // the connection is marked broken.
+  Status EnsureRegisteredLocked() COOL_REQUIRES(mu_);
   // Reactor callback: drains TryReceiveMessage until nothing is pending.
   void DrainReactor();
-  // Parses and routes one received frame (shared by both demux paths).
-  // Returns true when the connection is terminal (demux should stop).
+  // Parses and routes one received frame. Returns true when the
+  // connection is terminal (demux should stop).
   bool HandleFrame(ByteBuffer raw);
   // Routes a Reply/LocateReply to its slot; unknown ids are discarded if
   // abandoned, logged otherwise.
@@ -215,6 +210,7 @@ class GiopClient {
   static Result<Reply> MakeReply(ParsedMessage parsed);
 
   transport::ComChannel* channel_;
+  transport::Reactor& reactor_;
   Options options_;
 
   Mutex send_mu_{LockRank::kEngine, "giop::GiopClient::send_mu_"};
@@ -229,15 +225,10 @@ class GiopClient {
     std::deque<corba::ULong> fifo;  // FIFO eviction order beyond the cap
   };
   std::unique_ptr<AbandonMemory> abandoned_ COOL_GUARDED_BY(mu_);
-  // Terminal connection status; non-OK once the demux reader has exited.
+  // Terminal connection status; non-OK once the connection has ended.
   Status broken_ COOL_GUARDED_BY(mu_) = Status::Ok();
-  bool reader_started_ COOL_GUARDED_BY(mu_) = false;
-  // Started under mu_, joined only by the destructor (no concurrent use).
-  Thread reader_;
-  // Reactor registration (written once under mu_ in EnsureReaderLocked,
-  // read by the destructor when no other thread can touch the engine).
-  bool reactor_registered_ = false;
-  std::uint64_t rx_reg_ = 0;
+  // Reactor registration of the reply demux; 0 until the first call.
+  std::uint64_t rx_reg_ COOL_GUARDED_BY(mu_) = 0;
 };
 
 template <typename BuildHead>
@@ -247,10 +238,10 @@ Result<GiopClient::PendingCall> GiopClient::StartCall(
   {
     MutexLock lock(mu_);
     if (!broken_.ok()) return broken_;
+    COOL_RETURN_IF_ERROR(EnsureRegisteredLocked());
     call.id = next_request_id_++;
     call.slot = std::make_shared<Slot>();
     pending_.emplace(call.id, call.slot);
-    EnsureReaderLocked();
   }
   const ByteBuffer head = build_head(call.id);
   const Status sent = SendSerializedV(head, tail);
@@ -269,25 +260,8 @@ class GiopServer : public DispatchRunner {
     // 9.9 Request is answered with MessageError.
     bool accept_qos_extension = true;
     cdr::ByteOrder order = cdr::NativeOrder();
-    // Shared dispatch pool (one per ORB): upcalls run on the pool's
-    // workers and worker_threads below is ignored. The pool must outlive
-    // the server; Close() detaches from it.
-    DispatchPool* pool = nullptr;
-    // Private dispatcher worker-pool size (when pool == nullptr). Workers
-    // run servant upcalls concurrently and may answer out of order; 0 runs
-    // every upcall inline in the receive loop (the historical serial mode).
-    std::size_t worker_threads = DefaultWorkerThreads();
-    // Bound on queued-but-unstarted dispatches; the receive loop blocks
-    // (connection backpressure) once this many upcalls are waiting.
-    std::size_t queue_capacity = 256;
     // Cap on remembered CancelRequest ids (FIFO-evicted beyond this).
     std::size_t cancelled_cap = 1024;
-    // Scheduler knobs of the private pool (pool == nullptr mode); the
-    // shared pool carries its own DispatchPool::Options.
-    DispatchScheduler scheduler = DispatchScheduler::kHierarchical;
-    bool codel_enabled = false;
-    Duration codel_target = milliseconds(5);
-    Duration codel_interval = milliseconds(100);
   };
 
   // What the upcall produced; body must be encoded with MakeBodyEncoder.
@@ -297,24 +271,28 @@ class GiopServer : public DispatchRunner {
   };
 
   // Upcall into the object adapter. The decoder is positioned at the
-  // operation arguments. With worker_threads > 0 the dispatcher is called
-  // from pool threads concurrently and must be thread-safe.
+  // operation arguments. The dispatcher is called from the pool's workers
+  // concurrently and must be thread-safe.
   using Dispatcher =
       std::function<DispatchResult(const RequestHeader&, cdr::Decoder&)>;
   // Object-existence probe for LocateRequest.
   using Locator = std::function<bool(const corba::OctetSeq&)>;
 
-  GiopServer(transport::ComChannel* channel, Dispatcher dispatcher,
-             Options options)
-      : GiopServer(channel, std::move(dispatcher),
+  // Upcalls run on `pool`, which is shared by every connection of an ORB.
+  // The channel and the pool must outlive the server; Close() detaches
+  // from the pool.
+  GiopServer(transport::ComChannel* channel, DispatchPool& pool,
+             Dispatcher dispatcher, Options options)
+      : GiopServer(channel, pool, std::move(dispatcher),
                    std::make_shared<const Options>(std::move(options))) {}
 
   // Shared-config constructor: an ORB builds ONE immutable Options block
   // and every accepted connection's server references it, instead of each
   // carrying a private copy — part of the per-connection memory diet.
-  GiopServer(transport::ComChannel* channel, Dispatcher dispatcher,
-             std::shared_ptr<const Options> options)
+  GiopServer(transport::ComChannel* channel, DispatchPool& pool,
+             Dispatcher dispatcher, std::shared_ptr<const Options> options)
       : channel_(channel),
+        pool_(pool),
         dispatcher_(std::move(dispatcher)),
         options_(std::move(options)) {}
   ~GiopServer();
@@ -324,25 +302,24 @@ class GiopServer : public DispatchRunner {
 
   void SetLocator(Locator locator) { locator_ = std::move(locator); }
 
-  // Handles exactly one incoming message: a Request is parsed, admitted
-  // and (pool mode) enqueued for a worker — the upcall itself may still be
-  // running when ServeOne returns. Returns:
+  // The receive loop, for the connection's reactor callback: handles every
+  // message the channel holds right now (TryReceiveMessage -> HandleFrame)
+  // and returns without blocking. Protocol errors are logged and the
+  // connection stays open, as GIOP prescribes after MessageError. Returns
+  // the number of messages handled while the connection stays open, or the
+  // terminal status: kCancelled for a clean CloseConnection, kUnavailable
+  // once the transport is gone.
+  Result<std::size_t> Drain();
+
+  // Handles one already-received message: a Request is parsed, admitted
+  // and enqueued on the pool — the upcall itself may still be running when
+  // HandleFrame returns. Returns:
   //  * OK            — message handled, connection still open
   //  * kCancelled    — peer sent CloseConnection (clean end)
-  //  * kUnavailable  — transport gone
-  //  * other         — protocol violation (a MessageError was sent back
-  //                    when possible)
-  Status ServeOne(Duration timeout = seconds(30));
-
-  // Reactor entry: handles one already-received frame — everything
-  // ServeOne does after its blocking receive, with the same return
-  // contract.
+  //  * kProtocolError — protocol violation (a MessageError was sent back
+  //                    when possible); the connection survives
+  //  * other         — the connection cannot go on
   Status HandleFrame(ByteBuffer raw);
-
-  // Loop until the connection ends; returns the terminating status
-  // (kCancelled for a clean CloseConnection). Drains the worker pool and
-  // releases the cancel memory before returning.
-  Status Serve();
 
   // DispatchRunner: runs one upcall (last-chance cancel check included).
   // Called by the pool's workers; public only for that reason.
@@ -352,8 +329,9 @@ class GiopServer : public DispatchRunner {
   // client sees the overload instead of a stall.
   void DropDispatchJob(const DispatchJob& job) override;
 
-  // Stops the worker pool after draining queued dispatches. Idempotent;
-  // called by the destructor. Not safe to call concurrently with itself.
+  // Detaches from the pool: drops this connection's queued dispatches and
+  // waits out its running upcalls. Idempotent; called by the destructor.
+  // Not safe to call concurrently with itself, nor from a pool worker.
   void Close();
 
   // Reply-body encoder over a pooled buffer (see MakeArgsEncoder).
@@ -380,10 +358,6 @@ class GiopServer : public DispatchRunner {
   // Runs the upcall and sends the Reply (when one is expected).
   Status DispatchAndReply(const DispatchJob& job);
 
-  // The private DispatchPool (pool == nullptr, worker_threads > 0),
-  // created lazily on the first pooled dispatch so idle servers cost no
-  // threads. Returns nullptr once closed.
-  DispatchPool* EnsurePrivatePool();
   bool TakeCancelledLocked(corba::ULong id) COOL_REQUIRES(pool_mu_);
   void RememberCancelLocked(corba::ULong id) COOL_REQUIRES(pool_mu_);
 
@@ -394,6 +368,7 @@ class GiopServer : public DispatchRunner {
                          std::span<const corba::Octet> tail);
 
   transport::ComChannel* channel_;
+  DispatchPool& pool_;
   Dispatcher dispatcher_;
   // Immutable, typically shared across every connection of one ORB.
   std::shared_ptr<const Options> options_;
@@ -404,18 +379,11 @@ class GiopServer : public DispatchRunner {
   std::atomic<std::uint64_t> requests_cancelled_{0};
   std::atomic<std::uint64_t> requests_shed_{0};
 
-  // Identity under the dispatch pool (shared or private).
+  // Identity under the dispatch pool.
   const std::uint64_t runner_id_ = DispatchPool::AllocRunnerId();
 
   mutable Mutex pool_mu_{LockRank::kDispatchPool, "giop::GiopServer::pool_mu_"};
   bool pool_closed_ COOL_GUARDED_BY(pool_mu_) = false;
-  // Private worker pool (pool == nullptr mode): the same hierarchical
-  // scheduler as the shared pool, just not shared — one code path, no
-  // duplicated queue logic. Created once under pool_mu_; the object stays
-  // alive until the destructor, so a pointer read under pool_mu_ may be
-  // used after release (Submit must not run under pool_mu_: it blocks for
-  // backpressure).
-  std::unique_ptr<DispatchPool> private_pool_ COOL_GUARDED_BY(pool_mu_);
   // CancelRequest bookkeeping, allocated on the first cancel: cancels are
   // rare, and a default-constructed std::deque eagerly allocates ~576
   // bytes in libstdc++ — real money with one GiopServer per connection at

@@ -21,7 +21,10 @@ ORB::ORB(sim::Network* net, std::string host, Options options)
       tcp_(net, sim::Address{host_, options_.tcp_port}),
       ipc_(net, sim::Address{host_, options_.ipc_port}),
       dacapo_(net, sim::Address{host_, options_.dacapo_port},
-              options_.estimate, options_.resources) {}
+              options_.estimate, options_.resources),
+      reactor_(transport::Reactor::Options{
+          .workers = options_.reactor_threads,
+          .pin_workers = options_.pin_reactor_workers}) {}
 
 ORB::~ORB() { Shutdown(); }
 
@@ -53,10 +56,9 @@ Status ORB::Start() {
   if (running_.exchange(true)) {
     return FailedPreconditionError("ORB already running");
   }
-  if (options_.giop_worker_threads > 0) {
+  {
     giop::DispatchPool::Options pool_options;
     pool_options.workers = options_.giop_worker_threads;
-    pool_options.scheduler = options_.qos_scheduler;
     pool_options.class_weights = options_.dispatch_class_weights;
     pool_options.codel_enabled = options_.codel_enabled;
     pool_options.codel_target = options_.codel_target;
@@ -70,19 +72,11 @@ Status ORB::Start() {
     egress_options.codel_interval = options_.codel_interval;
     egress_ = std::make_unique<transport::EgressScheduler>(egress_options);
   }
-  transport::Reactor::Options reactor_options;
-  reactor_options.workers = options_.reactor_threads;
-  reactor_options.pin_workers = options_.pin_reactor_workers;
-  reactor_ = std::make_unique<transport::Reactor>(reactor_options);
 
   // One immutable server config for every connection this ORB will accept.
   {
     giop::GiopServer::Options server_options;
     server_options.accept_qos_extension = options_.enable_qos_extension;
-    server_options.pool = dispatch_pool_.get();
-    // Upcalls run on the shared pool (or inline when it is disabled) —
-    // never on per-connection worker threads.
-    server_options.worker_threads = 0;
     server_options_ = std::make_shared<const giop::GiopServer::Options>(
         std::move(server_options));
   }
@@ -95,7 +89,7 @@ Status ORB::Start() {
        {static_cast<transport::ComManager*>(&tcp_),
         static_cast<transport::ComManager*>(&ipc_),
         static_cast<transport::ComManager*>(&dacapo_)}) {
-    auto reg = reactor_->Add(
+    auto reg = reactor_.Add(
         [mgr](const sim::WaitSet& set, std::uint64_t token) {
           return mgr->RegisterAccept(set, token);
         },
@@ -106,7 +100,7 @@ Status ORB::Start() {
   COOL_LOG(kInfo, "orb") << host_ << ": ORB running (tcp:"
                          << options_.tcp_port << " ipc:" << options_.ipc_port
                          << " dacapo:" << options_.dacapo_port << ", "
-                         << reactor_->workers() << " reactor workers)";
+                         << reactor_.workers() << " reactor workers)";
   return Status::Ok();
 }
 
@@ -120,9 +114,7 @@ void ORB::Shutdown() {
   // Remove() waits for a callback that may be blocked acquiring one. Once
   // these Removes return, no AdoptTrain is mid-flight, so the shard sweep
   // below observes every adopted connection.
-  if (reactor_ != nullptr) {
-    for (const std::uint64_t id : accept_regs_) reactor_->Remove(id);
-  }
+  for (const std::uint64_t id : accept_regs_) reactor_.Remove(id);
   accept_regs_.clear();
 
   std::vector<std::shared_ptr<Connection>> conns;
@@ -131,24 +123,13 @@ void ORB::Shutdown() {
     for (auto& [id, conn] : shard.conns) conns.push_back(std::move(conn));
     shard.conns.clear();
   }
-  std::unordered_map<std::uint64_t, Thread> threads;
-  {
-    MutexLock lock(legacy_mu_);
-    threads.swap(connection_threads_);
-    finished_connections_.clear();
-  }
   for (auto& conn : conns) {
     // Close first so a mid-callback drain (and any upcall mid-reply) fails
     // fast instead of blocking; then barrier out the drain callback; then
     // detach the server from the shared pool.
     conn->channel->Close();
-    if (conn->rx_reg != 0 && reactor_ != nullptr) {
-      reactor_->Remove(conn->rx_reg);
-    }
+    reactor_.Remove(conn->id);
     conn->server->Close();
-  }
-  for (auto& [id, t] : threads) {
-    if (t.joinable()) t.join();
   }
   if (dispatch_pool_ != nullptr) dispatch_pool_->Close();
   if (egress_ != nullptr) egress_->Close();
@@ -174,7 +155,6 @@ void ORB::DrainAccept(transport::ComManager* manager) {
 void ORB::AdoptTrain(
     std::vector<std::unique_ptr<transport::ComChannel>> channels) {
   if (channels.empty()) return;
-  ReapFinishedThreads();
   if (shutdown_.load()) {
     for (auto& channel : channels) channel->Close();
     return;
@@ -199,13 +179,12 @@ void ORB::AdoptTrain(
 
   // Phase one: install the whole train's callbacks, one registration-map
   // lock per worker. Nothing fires until the matching Attach below, so the
-  // per-connection bookkeeping (id, rx_reg, timers, shard entry) can be
+  // per-connection bookkeeping (id, timers, shard entry) can be
   // published without racing the first readiness callback.
-  const std::vector<std::uint64_t> ids = reactor_->AddBatch(std::move(cbs));
+  const std::vector<std::uint64_t> ids = reactor_.AddBatch(std::move(cbs));
   const TimePoint now = Now();
   for (std::size_t i = 0; i < n; ++i) {
     conns[i]->id = ids[i];
-    conns[i]->rx_reg = ids[i];
     conns[i]->last_activity = now;
     conns[i]->armed_deadline = now + options_.idle_timeout;
   }
@@ -223,52 +202,27 @@ void ORB::AdoptTrain(
   // Phase two: bind each readiness source and post the immediate probe.
   for (std::size_t i = 0; i < n; ++i) {
     const std::shared_ptr<Connection>& conn = conns[i];
-    const bool attached = reactor_->Attach(
+    const bool attached = reactor_.Attach(
         ids[i], [raw = conn->channel.get()](const sim::WaitSet& set,
                                             std::uint64_t token) {
           return raw->RegisterRx(set, token);
         });
-    if (attached) {
-      if (options_.idle_timeout > Duration::zero()) {
-        reactor_->ScheduleAt(ids[i], conn->armed_deadline);
-      }
-      continue;
+    if (!attached) {
+      // Attach already dropped the registration: nothing can drain it.
+      FinishConnection(conn);
+    } else if (options_.idle_timeout > Duration::zero()) {
+      reactor_.ScheduleAt(ids[i], conn->armed_deadline);
     }
-    // Transport without a non-blocking receive path: fall back to one
-    // blocking serve thread for this connection (legacy model). Attach
-    // already dropped the reactor registration.
-    conn->rx_reg = 0;
-    const std::uint64_t id = conn->id;
-    MutexLock lock(legacy_mu_);
-    connection_threads_.emplace(
-        id, Thread([this, id, c = conn](std::stop_token) mutable {
-          ServeConnection(id, std::move(c));
-        }));
   }
 }
 
 void ORB::DrainConnection(const std::shared_ptr<Connection>& conn) {
-  bool activity = false;
-  for (;;) {
-    Result<std::optional<ByteBuffer>> raw = conn->channel->TryReceiveMessage();
-    if (!raw.ok()) {
-      // Closed (local shutdown or peer hangup) or transport failure.
-      COOL_LOG(kDebug, "orb") << host_
-                              << ": connection ended: " << raw.status();
-      FinishConnection(conn);
-      return;
-    }
-    if (!raw->has_value()) break;  // drained; re-armed for next readiness
-    activity = true;
-    const Status handled = conn->server->HandleFrame(*std::move(*raw));
-    if (handled.ok()) continue;
-    if (handled.code() == ErrorCode::kProtocolError) {
-      // Mirrors Serve(): protocol damage is reported but the connection
-      // soldiers on, as GIOP prescribes after MessageError.
-      COOL_LOG(kWarn, "giop") << "protocol error on connection: " << handled;
-      continue;
-    }
-    COOL_LOG(kDebug, "orb") << host_ << ": connection ended: " << handled;
+  const Result<std::size_t> drained = conn->server->Drain();
+  if (!drained.ok()) {
+    // Clean CloseConnection, local shutdown, peer hangup or a transport
+    // failure.
+    COOL_LOG(kDebug, "orb") << host_
+                            << ": connection ended: " << drained.status();
     FinishConnection(conn);
     return;
   }
@@ -278,7 +232,7 @@ void ORB::DrainConnection(const std::shared_ptr<Connection>& conn) {
   // only writer of these fields and never runs concurrently with itself
   // (reactor run-to-completion contract).
   const TimePoint now = Now();
-  if (activity) {
+  if (*drained > 0) {
     conn->last_activity = now;
   } else if (now - conn->last_activity >= options_.idle_timeout) {
     COOL_LOG(kDebug, "orb") << host_ << ": closing idle connection "
@@ -291,7 +245,7 @@ void ORB::DrainConnection(const std::shared_ptr<Connection>& conn) {
   // instead of one per received frame.
   if (now >= conn->armed_deadline) {
     conn->armed_deadline = conn->last_activity + options_.idle_timeout;
-    reactor_->ScheduleAt(conn->id, conn->armed_deadline);
+    reactor_.ScheduleAt(conn->id, conn->armed_deadline);
   }
 }
 
@@ -303,7 +257,7 @@ void ORB::FinishConnection(const std::shared_ptr<Connection>& conn) {
   }
   // Self-removal from inside the drain callback: unregisters without
   // waiting (idempotent against a concurrent Shutdown doing the same).
-  reactor_->Remove(conn->rx_reg);
+  reactor_.Remove(conn->id);
   // Bounded by design: server->Close() barriers this connection's in-flight
   // dispatch upcalls out of the shared pool (DetachRunner), a wait bounded
   // by the servant runtime on independent worker threads; it runs once per
@@ -315,51 +269,13 @@ void ORB::FinishConnection(const std::shared_ptr<Connection>& conn) {
 
 void ORB::EmplaceServer(Connection& conn) {
   conn.server.emplace(
-      conn.channel.get(),
+      conn.channel.get(), *dispatch_pool_,
       [this](const giop::RequestHeader& header, cdr::Decoder& args) {
         return adapter_.Dispatch(header, args, cdr::NativeOrder());
       },
       server_options_);
   conn.server->SetLocator(
       [this](const corba::OctetSeq& key) { return adapter_.Exists(key); });
-}
-
-void ORB::ServeConnection(std::uint64_t id, std::shared_ptr<Connection> conn) {
-  const Status end = conn->server->Serve();
-  COOL_LOG(kDebug, "orb") << host_ << ": connection ended: " << end;
-
-  {
-    ConnShard& shard = ShardFor(id);
-    MutexLock lock(shard.mu);
-    shard.conns.erase(id);
-  }
-  // Eager reap: join earlier finished loops before publishing our own id
-  // (never our own thread — it is not in the list yet), so dead threads
-  // never accumulate waiting for the next accept. At most the final loop
-  // lingers until adopt or shutdown joins it.
-  ReapFinishedThreads();
-  MutexLock lock(legacy_mu_);
-  finished_connections_.push_back(id);
-}
-
-void ORB::ReapFinishedThreads() {
-  // Joins run outside the lock: a finishing loop's tail takes legacy_mu_
-  // to publish its id.
-  std::vector<Thread> reaped;
-  {
-    MutexLock lock(legacy_mu_);
-    for (const std::uint64_t id : finished_connections_) {
-      const auto it = connection_threads_.find(id);
-      if (it != connection_threads_.end()) {
-        reaped.push_back(std::move(it->second));
-        connection_threads_.erase(it);
-      }
-    }
-    finished_connections_.clear();
-  }
-  for (auto& t : reaped) {
-    if (t.joinable()) t.join();
-  }
 }
 
 std::size_t ORB::connections_live() const {

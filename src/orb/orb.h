@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "common/thread.h"
 #include "dacapo/config_manager.h"
 #include "dacapo/resource_manager.h"
 #include "giop/dispatch_pool.h"
@@ -49,15 +48,9 @@ class ORB {
     corba::OctetSeq principal{};
     // Optional server-side resource admission for Da CaPo connections.
     dacapo::ResourceManager* resources = nullptr;
-    // Size of the ORB-wide servant dispatch pool shared by every
-    // connection (0 = inline dispatch on the reactor worker — only for
-    // tests that need strictly serial upcalls).
+    // Size (>= 1) of the ORB-wide servant dispatch pool shared by every
+    // connection, built by Start().
     std::size_t giop_worker_threads = giop::DefaultWorkerThreads();
-    // Which scheduler arbitrates the shared dispatch pool (README
-    // "qos_scheduler" knobs). kFlatPriority restores the legacy strict-
-    // priority scan — the in-run baseline for bench_qos_fairness.
-    giop::DispatchScheduler qos_scheduler =
-        giop::DispatchScheduler::kHierarchical;
     // WFQ weights of the High/Normal/Low dispatch bands.
     std::array<std::uint32_t, giop::kDispatchClasses> dispatch_class_weights{
         8, 4, 1};
@@ -72,9 +65,10 @@ class ORB {
     // first-grabbed-lock-wins behaviour). Channels opened for clients
     // borrow the ORB's scheduler, so the ORB must outlive them.
     bool qos_egress = false;
-    // Reactor worker loops carrying all connection I/O (reads, accepts,
-    // demux); 0 = one per hardware thread. The thread count is flat in the
-    // number of connections.
+    // Reactor worker loops carrying all connection I/O (server reads,
+    // accepts, client reply demux); 0 = one per hardware thread. A worker's
+    // thread starts with its first registration, and the thread count is
+    // flat in the number of connections and bindings.
     unsigned reactor_threads = 0;
     // BESS-style per-core placement of the reactor workers. Combined with
     // the fixed connection -> worker mapping this keeps each connection's
@@ -106,7 +100,8 @@ class ORB {
                                     std::shared_ptr<Servant> servant,
                                     Protocol preferred = Protocol::kTcp);
 
-  // Starts listening + accepting on all three transports.
+  // Builds the dispatch pool and starts listening + accepting on all three
+  // transports. A client-only ORB never needs to call it.
   Status Start();
   void Shutdown();
   bool running() const noexcept { return running_; }
@@ -128,8 +123,10 @@ class ORB {
   // Currently open accepted connections, summed across the shards.
   std::size_t connections_live() const;
 
-  // The connection engine (tests/metrics).
-  transport::Reactor& reactor() noexcept { return *reactor_; }
+  // The connection engine: every server connection and every client
+  // binding (Stub) of this ORB receives through it. Stubs must therefore
+  // not outlive their ORB.
+  transport::Reactor& reactor() noexcept { return reactor_; }
   giop::DispatchPool* dispatch_pool() noexcept { return dispatch_pool_.get(); }
   transport::EgressScheduler* egress_scheduler() noexcept {
     return egress_.get();
@@ -151,10 +148,9 @@ class ORB {
   // only ever touched from this connection's own reactor callback, which
   // never runs concurrently with itself, so they need no lock.
   struct Connection {
-    std::uint64_t id = 0;
+    std::uint64_t id = 0;  // == its reactor registration
     std::unique_ptr<transport::ComChannel> channel;
     std::optional<giop::GiopServer> server;
-    std::uint64_t rx_reg = 0;  // reactor registration (0 = legacy thread)
     // Idle-timeout bookkeeping (reactor callback only, see above).
     TimePoint last_activity{};
     TimePoint armed_deadline{};
@@ -183,22 +179,16 @@ class ORB {
   void DrainAccept(transport::ComManager* manager);
   // Adopts a train of accepted channels: builds the Connections, registers
   // their receive callbacks in one batch (AddBatch/Attach), publishes them
-  // into the shards, and arms idle timers. Falls back to a legacy serve
-  // thread for transports without a non-blocking receive.
+  // into the shards, and arms idle timers.
   void AdoptTrain(
       std::vector<std::unique_ptr<transport::ComChannel>> channels);
-  // Reactor receive callback: drains frames; tears the connection down on
-  // a terminal status or an expired idle deadline.
+  // Reactor receive callback: GiopServer::Drain plus the idle-timeout
+  // bookkeeping; tears the connection down on a terminal status or an
+  // expired idle deadline.
   void DrainConnection(const std::shared_ptr<Connection>& conn);
   void FinishConnection(const std::shared_ptr<Connection>& conn);
   // Embeds the GIOP server (shared ORB config) into `conn`.
   void EmplaceServer(Connection& conn);
-  // Legacy path: blocking serve loop on a dedicated thread.
-  void ServeConnection(std::uint64_t id, std::shared_ptr<Connection> conn);
-  // Joins legacy serve threads whose loops have ended. Runs on adopt and —
-  // eagerly — at the tail of every ServeConnection, so finished threads
-  // never pile up waiting for the next accept or shutdown.
-  void ReapFinishedThreads();
 
   sim::Network* net_;
   std::string host_;
@@ -219,7 +209,7 @@ class ORB {
   // outlives every channel that attached to it.
   std::unique_ptr<transport::EgressScheduler> egress_;
   std::unique_ptr<giop::DispatchPool> dispatch_pool_;
-  std::unique_ptr<transport::Reactor> reactor_;
+  transport::Reactor reactor_;
   std::vector<std::uint64_t> accept_regs_;
 
   // One immutable GIOP server config shared by every accepted connection
@@ -228,15 +218,6 @@ class ORB {
 
   mutable std::array<ConnShard, kConnShards> conn_shards_;
   std::atomic<std::uint64_t> connections_accepted_{0};
-
-  // Legacy-path serve threads (transports without a non-blocking receive)
-  // and the ids of loops that have since ended, awaiting a join.
-  mutable Mutex legacy_mu_{LockRank::kOrb, "orb::ORB::legacy_mu_"};
-  // PER_CONN_WAIVER: legacy-transport bookkeeping table, not a member of
-  // the per-connection struct.
-  std::unordered_map<std::uint64_t, Thread> connection_threads_
-      COOL_GUARDED_BY(legacy_mu_);
-  std::vector<std::uint64_t> finished_connections_ COOL_GUARDED_BY(legacy_mu_);
 };
 
 }  // namespace cool::orb

@@ -39,7 +39,7 @@ Status Stub::EnsureBoundLocked() {
   opts.order = order_;
   opts.principal = orb_->options().principal;
   binding->client = std::make_unique<giop::GiopClient>(
-      binding->channel.get(), opts);
+      binding->channel.get(), orb_->reactor(), opts);
   binding_ = std::move(binding);
   return Status::Ok();
 }
@@ -112,8 +112,8 @@ Status Stub::Unbind() {
   }
   if (binding != nullptr) {
     // Invocations still holding the snapshot keep the Binding alive; the
-    // channel close fails them with kUnavailable. The demux reader is
-    // joined when the last snapshot releases the Binding.
+    // channel close fails them with kUnavailable. The demux registration
+    // is removed when the last snapshot releases the Binding.
     (void)binding->client->SendClose();
     binding->channel->Close();
   }

@@ -14,6 +14,11 @@
 // Invocation modes mirror the paper's Fig. 8 list: synchronous (call),
 // one-way (send), deferred synchronous (defer/poll), asynchronous reply
 // (notify), and cancel.
+//
+// Lifetime: the ORB must outlive its stubs. A remote binding's reply demux
+// is a registration on the ORB's reactor (ORB::reactor()), removed when
+// the binding dies, so destroying the ORB first leaves the stub holding a
+// registration on a destroyed reactor.
 #pragma once
 
 #include <functional>
@@ -109,7 +114,7 @@ class Stub {
   // it alive across an Unbind: the stub lock only covers the snapshot, the
   // actual exchange runs lock-free and pipelines through the GiopClient
   // demultiplexer. Member order matters: the client is destroyed first
-  // (joining its demux reader) while the channel is still alive.
+  // (removing its demux registration) while the channel is still alive.
   struct Binding {
     std::unique_ptr<transport::ComChannel> channel;
     std::unique_ptr<giop::GiopClient> client;

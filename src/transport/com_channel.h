@@ -54,28 +54,19 @@ class ComChannel {
   virtual void Close() = 0;
 
   // --- reactor seams (non-blocking receive path) ---------------------------
+  // The reactor is the only receive path of the ORB: every transport
+  // implements both seams.
+  //
   // Non-blocking receive: nullopt when no complete message is available
   // right now, kUnavailable once the channel is closed and drained. The
   // reactor drain contract: after a readiness callback, loop until nullopt
-  // (signals are edge-ish — one signal may cover several messages). The
-  // base returns kUnsupported; transports opt in by overriding BOTH this
-  // and RegisterRx. (Deliberately NOT defaulted to ReceiveMessage(0): a
-  // zero-timeout blocking receive reports kDeadlineExceeded without pulling
-  // ready bytes on some transports, which would break the drain contract.)
-  virtual Result<std::optional<ByteBuffer>> TryReceiveMessage() {
-    return Status(
-        UnsupportedError(std::string(protocol()) +
-                         " transport has no non-blocking receive path"));
-  }
+  // (signals are edge-ish — one signal may cover several messages).
+  virtual Result<std::optional<ByteBuffer>> TryReceiveMessage() = 0;
 
   // Attaches the channel's receive readiness to `set` under `token`: the
   // set is signalled whenever TryReceiveMessage may make progress (arrival,
-  // close). Returns false when the transport does not support watching.
-  virtual bool RegisterRx(const sim::WaitSet& set, std::uint64_t token) {
-    (void)set;
-    (void)token;
-    return false;
-  }
+  // close). Returns false when the source cannot be watched.
+  virtual bool RegisterRx(const sim::WaitSet& set, std::uint64_t token) = 0;
 
   // Scatter-gather send: the concatenation of `parts` forms ONE message on
   // the wire, indistinguishable from SendMessage(join(parts)) to the peer.
@@ -165,21 +156,12 @@ class ComManager {
 
   // Non-blocking accept: a null channel (no error) when nothing is pending,
   // kUnavailable once closed. Same drain contract as TryReceiveMessage.
-  // Base refuses; transports opt in by overriding BOTH this and
-  // RegisterAccept.
-  virtual Result<std::unique_ptr<ComChannel>> TryAcceptChannel() {
-    return Status(
-        UnsupportedError(std::string(protocol()) +
-                         " transport has no non-blocking accept path"));
-  }
+  virtual Result<std::unique_ptr<ComChannel>> TryAcceptChannel() = 0;
 
   // Attaches accept readiness to `set` under `token`; false when the
-  // transport does not support watching.
-  virtual bool RegisterAccept(const sim::WaitSet& set, std::uint64_t token) {
-    (void)set;
-    (void)token;
-    return false;
-  }
+  // source cannot be watched.
+  virtual bool RegisterAccept(const sim::WaitSet& set,
+                              std::uint64_t token) = 0;
 
   virtual void Close() = 0;
 };

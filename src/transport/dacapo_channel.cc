@@ -1,6 +1,7 @@
 #include "transport/dacapo_channel.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/deadlock.h"
 #include "common/logging.h"
@@ -211,8 +212,11 @@ void DacapoComChannel::Close() {
 qos::Capability DacapoComChannel::CapabilityFor(
     const dacapo::NetworkEstimate& est) {
   qos::Capability cap;
+  // An unbounded link (bandwidth 0) caps throughput nowhere.
   cap.SetBest(qos::ParamType::kThroughputKbps,
-              static_cast<corba::Long>(est.bandwidth_bps / 1000));
+              est.bandwidth_bps == 0
+                  ? std::numeric_limits<corba::Long>::max()
+                  : static_cast<corba::Long>(est.bandwidth_bps / 1000));
   cap.SetBest(qos::ParamType::kLatencyMicros,
               static_cast<corba::Long>(est.rtt_us / 2));
   cap.SetBest(qos::ParamType::kJitterMicros,

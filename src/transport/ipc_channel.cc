@@ -54,9 +54,8 @@ Result<ByteBuffer> IpcComChannel::ReceiveMessage(Duration timeout) {
   for (;;) {
     auto dgram = port_->RecvFor(timeout);
     if (!dgram.has_value()) {
-      // A closed-and-drained port used to read as a timeout here, which
-      // left pollers (the GIOP demux reader) spinning through their full
-      // quantum after Close(); report the close as terminal instead.
+      // A closed-and-drained port reports the close as terminal, not as
+      // a timeout, so a poller stops instead of waiting out its quantum.
       if (port_->depleted()) {
         return Status(UnavailableError("IPC channel closed"));
       }

@@ -37,7 +37,7 @@ class EgressScheduler {
     std::uint32_t quantum_bytes = 4096;
     // CoDel AQM on the waiting tickets. Off by default: a shed ticket
     // surfaces as an UnavailableError to the sender, a policy the ORB
-    // owner opts into (README "qos_scheduler" knobs).
+    // owner opts into (README, giop knobs).
     bool codel_enabled = false;
     Duration codel_target = milliseconds(5);
     Duration codel_interval = milliseconds(100);

@@ -12,22 +12,13 @@ thread_local int tl_worker_index = -1;
 
 Reactor::Reactor(unsigned workers) : Reactor(Options{.workers = workers}) {}
 
-Reactor::Reactor(const Options& options) {
+Reactor::Reactor(const Options& options) : pin_workers_(options.pin_workers) {
   const unsigned n =
       options.workers == 0 ? HardwareConcurrency() : options.workers;
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());
     workers_.back()->index = i;
-  }
-  for (auto& w : workers_) {
-    Worker* worker = w.get();
-    worker->thread = Thread(
-        [this, worker, pin = options.pin_workers](std::stop_token stop) {
-          if (pin) PinThisThreadToCore(worker->index);
-          WorkerLoop(*worker, stop);
-        });
-    worker->thread_id = worker->thread.get_id();
   }
 }
 
@@ -40,11 +31,14 @@ Reactor::~Reactor() {
   // epoll_'s destructor stops and joins the forwarder thread.
 }
 
-Reactor& Reactor::Default() {
-  // Leaky singleton: channels may signal their watchables during static
-  // destruction, after a function-local Reactor would already be gone.
-  static Reactor* shared = new Reactor();  // NEW_ALLOWLIST: leaky singleton
-  return *shared;
+void Reactor::StartLocked(Worker& w) {
+  if (w.thread.joinable()) return;
+  w.thread = Thread(
+      [this, worker = &w](std::stop_token stop) {
+        if (pin_workers_) PinThisThreadToCore(worker->index);
+        WorkerLoop(*worker, stop);
+      });
+  w.thread_id = w.thread.get_id();
 }
 
 int Reactor::CurrentWorkerIndex() noexcept { return tl_worker_index; }
@@ -104,6 +98,7 @@ std::uint64_t Reactor::AddManual(Callback cb) {
   {
     MutexLock lock(w.mu);
     w.regs.emplace(id, std::make_shared<Registration>(std::move(cb)));
+    StartLocked(w);
   }
   w.waitset.Add(id);
   return id;
@@ -125,6 +120,7 @@ std::vector<std::uint64_t> Reactor::AddBatch(std::vector<Callback> cbs) {
       worker.regs.emplace(
           ids[i], std::make_shared<Registration>(std::move(cbs[i])));
     }
+    StartLocked(worker);
   }
   return ids;
 }

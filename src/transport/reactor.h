@@ -1,10 +1,10 @@
-// Event-driven connection engine (ROADMAP open item 2). The Reactor owns N
-// run-to-completion worker loops, each blocked on its own sim::WaitSet;
-// every ComChannel read, GIOP demux completion and server accept registers
-// as a non-blocking state machine that the owning worker invokes whenever
-// its source signals readiness. This replaces the thread-per-channel model
-// (one reader thread per client binding, one accept/serve thread per server
-// connection) with a flat, connection-count-independent thread pool.
+// Event-driven connection engine, the only way an ORB receives bytes. The
+// Reactor owns N run-to-completion worker loops, each blocked on its own
+// sim::WaitSet; every server connection read, client reply demux and server
+// accept registers as a non-blocking state machine that the owning worker
+// invokes whenever its source signals readiness. The thread count is flat
+// in the number of connections and bindings: worker i's thread starts with
+// the first registration routed to it, and there are never more than N.
 //
 // Dispatch contract:
 //  * A registration's callback runs on exactly one worker (id % workers)
@@ -65,11 +65,6 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  // Process-wide instance shared by ORBs/clients that do not bring their
-  // own (intentionally leaked: channels may still signal it during static
-  // destruction).
-  static Reactor& Default();
-
   // Registers a source + callback. The callback starts firing as soon as
   // `attach` returns (an immediate probe harvests pre-registration state).
   Result<std::uint64_t> Add(const AttachFn& attach, Callback cb);
@@ -86,7 +81,7 @@ class Reactor {
 
   // Batched registration, phase two: binds the readiness source and posts
   // the immediate probe, like Add(). On failure the registration is
-  // dropped and the caller falls back to its legacy path.
+  // dropped.
   bool Attach(std::uint64_t id, const AttachFn& attach);
 
   // Registers a kernel fd (edge-triggered epoll). The fd stays owned by
@@ -106,6 +101,9 @@ class Reactor {
   void Remove(std::uint64_t id);
   void RemoveFd(int fd, std::uint64_t id);
 
+  // Configured worker count. Worker i's thread starts with the first
+  // registration routed to it, so a reactor with r registrations runs
+  // min(r, workers()) threads.
   unsigned workers() const noexcept {
     return static_cast<unsigned>(workers_.size());
   }
@@ -134,11 +132,15 @@ class Reactor {
     std::unordered_map<std::uint64_t, std::shared_ptr<Registration>> regs
         COOL_GUARDED_BY(mu);
     std::uint64_t running_id COOL_GUARDED_BY(mu) = 0;
-    ThreadId thread_id;   // written once in the ctor, then read-only
+    // Set once, when the first registration starts the thread.
+    ThreadId thread_id COOL_GUARDED_BY(mu);
     unsigned index = 0;   // position in workers_ (== the pinned core)
+    // Started under mu by StartLocked, joined only by the destructor.
     Thread thread;
   };
 
+  // Starts w's thread unless it already runs (lazy start, see workers()).
+  void StartLocked(Worker& w) COOL_REQUIRES(w.mu);
   void WorkerLoop(Worker& w, std::stop_token stop);
   // Clears the running marker and releases Remove() barrier waiters.
   void DrainRemovalWaiters(Worker& w);
@@ -147,6 +149,7 @@ class Reactor {
   }
   EpollPoller* EnsureEpoll();
 
+  const bool pin_workers_;
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> dispatches_{0};
   std::vector<std::unique_ptr<Worker>> workers_;

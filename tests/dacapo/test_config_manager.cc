@@ -182,6 +182,29 @@ TEST(ConfigManagerTest, GoBackNWindowScalesWithBdp) {
   EXPECT_GT(w_fast, w_slow);
 }
 
+// A fast-link estimate: bandwidth 0 means "unbounded", as it does for
+// sim::LinkProperties, so it neither caps throughput nor adds
+// serialization delay, and both kinds of bound are admitted.
+TEST(ConfigManagerTest, UnboundedBandwidthAdmitsLatencyAndThroughputBounds) {
+  ConfigurationManager mgr;
+  NetworkEstimate fast = Lan();
+  fast.bandwidth_bps = 0;
+
+  qos::ProtocolRequirements latency_bound;
+  latency_bound.max_latency_us = 1000;  // propagation alone is 500 us
+  auto g_latency = mgr.Configure(latency_bound, fast);
+  ASSERT_TRUE(g_latency.ok()) << g_latency.status();
+  EXPECT_LE(g_latency->predicted_latency_us, 1000.0);
+
+  qos::ProtocolRequirements throughput_floor;
+  throughput_floor.need_retransmission = true;
+  throughput_floor.min_throughput_kbps = 50'000;  // above stop-and-wait
+  auto g_throughput = mgr.Configure(throughput_floor, fast);
+  ASSERT_TRUE(g_throughput.ok()) << g_throughput.status();
+  EXPECT_TRUE(HasMechanism(g_throughput->spec, mechanisms::kGoBackN));
+  EXPECT_GE(g_throughput->predicted_throughput_kbps, 50'000.0);
+}
+
 TEST(CostModelTest, IrqThroughputBoundByPacketPerRtt) {
   ConfigurationManager mgr;
   ModuleGraphSpec spec;

@@ -78,10 +78,9 @@ class Recorder : public DispatchRunner {
   std::array<corba::ULong, 1024> order_{};
 };
 
-DispatchPool::Options OneWorker(DispatchScheduler scheduler) {
+DispatchPool::Options OneWorker() {
   DispatchPool::Options o;
   o.workers = 1;
-  o.scheduler = scheduler;
   return o;
 }
 
@@ -93,7 +92,7 @@ void WaitFor(const std::function<bool()>& done, Duration timeout) {
 }
 
 TEST(DispatchSchedTest, HierarchicalServesHighBandFirst) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kHierarchical));
+  DispatchPool pool(OneWorker());
   Recorder r;
   const auto id = DispatchPool::AllocRunnerId();
   ASSERT_TRUE(pool.Submit(&r, id, DispatchClass::kNormal,
@@ -109,28 +108,12 @@ TEST(DispatchSchedTest, HierarchicalServesHighBandFirst) {
   EXPECT_EQ(r.at(2), 2u);
 }
 
-TEST(DispatchSchedTest, FlatPriorityStillOrdersBands) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kFlatPriority));
-  Recorder r;
-  const auto id = DispatchPool::AllocRunnerId();
-  ASSERT_TRUE(pool.Submit(&r, id, DispatchClass::kNormal,
-                          MakeJob(Recorder::kGateId)));
-  WaitFor([&] { return r.started() >= 1; }, seconds(10));
-  ASSERT_TRUE(pool.Submit(&r, id, DispatchClass::kLow, MakeJob(2)));
-  ASSERT_TRUE(pool.Submit(&r, id, DispatchClass::kHigh, MakeJob(3)));
-  r.Open();
-  pool.Close();
-  ASSERT_EQ(r.runs(), 3u);
-  EXPECT_EQ(r.at(1), 3u);
-  EXPECT_EQ(r.at(2), 2u);
-}
-
 // The starvation regression the hierarchical scheduler fixes: under a
 // sustained high-band flood, low-band work still progresses (the WFQ
-// weights give the low band a guaranteed 1/13 floor; the flat scan would
-// hold it at zero until the flood stopped).
+// weights give the low band a guaranteed 1/13 floor; a strict-priority
+// scan would hold it at zero until the flood stopped).
 TEST(DispatchSchedTest, LowBandProgressesUnderHighFlood) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kHierarchical));
+  DispatchPool pool(OneWorker());
   Recorder flooder;
   flooder.set_work(microseconds(100));
   Recorder low;
@@ -161,7 +144,7 @@ TEST(DispatchSchedTest, LowBandProgressesUnderHighFlood) {
 }
 
 TEST(DispatchSchedTest, CodelShedsThroughDropHook) {
-  DispatchPool::Options options = OneWorker(DispatchScheduler::kHierarchical);
+  DispatchPool::Options options = OneWorker();
   options.codel_enabled = true;
   options.codel_target = milliseconds(1);
   options.codel_interval = milliseconds(10);
@@ -185,7 +168,7 @@ TEST(DispatchSchedTest, CodelShedsThroughDropHook) {
 }
 
 TEST(DispatchSchedTest, CancelQueuedKillsOnlyUnstartedJobs) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kHierarchical));
+  DispatchPool pool(OneWorker());
   Recorder r;
   const auto id = DispatchPool::AllocRunnerId();
   ASSERT_TRUE(pool.Submit(&r, id, DispatchClass::kNormal,
@@ -204,7 +187,7 @@ TEST(DispatchSchedTest, CancelQueuedKillsOnlyUnstartedJobs) {
 }
 
 TEST(DispatchSchedTest, DetachRunnerDropsQueuedAndRefusesNew) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kHierarchical));
+  DispatchPool pool(OneWorker());
   Recorder gate;
   Recorder victim;
   const auto gate_id = DispatchPool::AllocRunnerId();
@@ -225,7 +208,7 @@ TEST(DispatchSchedTest, DetachRunnerDropsQueuedAndRefusesNew) {
 }
 
 TEST(DispatchSchedTest, SubmitAfterCloseFails) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kHierarchical));
+  DispatchPool pool(OneWorker());
   Recorder r;
   const auto id = DispatchPool::AllocRunnerId();
   pool.Close();
@@ -233,7 +216,7 @@ TEST(DispatchSchedTest, SubmitAfterCloseFails) {
 }
 
 TEST(DispatchSchedTest, BackpressureBlocksThenDrains) {
-  DispatchPool::Options options = OneWorker(DispatchScheduler::kHierarchical);
+  DispatchPool::Options options = OneWorker();
   options.queue_capacity = 4;
   DispatchPool pool(options);
   Recorder r;
@@ -259,7 +242,7 @@ TEST(DispatchSchedTest, BackpressureBlocksThenDrains) {
 }
 
 TEST(DispatchSchedTest, StatsSnapshotCountsPerBand) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kHierarchical));
+  DispatchPool pool(OneWorker());
   Recorder r;
   const auto id = DispatchPool::AllocRunnerId();
   qos::SchedProfile high;
@@ -281,20 +264,6 @@ TEST(DispatchSchedTest, StatsSnapshotCountsPerBand) {
   const std::string text = pool.DescribeStats();
   EXPECT_NE(text.find("class high"), std::string::npos);
   EXPECT_NE(text.find("class low"), std::string::npos);
-  pool.Close();
-}
-
-TEST(DispatchSchedTest, FlatModeReportsStatsToo) {
-  DispatchPool pool(OneWorker(DispatchScheduler::kFlatPriority));
-  Recorder r;
-  const auto id = DispatchPool::AllocRunnerId();
-  for (corba::ULong i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pool.Submit(&r, id, DispatchClass::kNormal, MakeJob(i)));
-  }
-  WaitFor([&] { return r.runs() >= 3; }, seconds(10));
-  const auto stats = pool.StatsSnapshot();
-  EXPECT_EQ(stats[1].enqueued, 3u);
-  EXPECT_EQ(stats[1].dispatched, 3u);
   pool.Close();
 }
 

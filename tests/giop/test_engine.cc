@@ -7,24 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <thread>
 
 #include "common/clock.h"
-#include "common/thread.h"
-#include "transport/reactor.h"
-#include "transport/tcp_channel.h"
+#include "engine_rig.h"
 
 namespace cool::giop {
 namespace {
 
-sim::LinkProperties QuickLink() {
-  sim::LinkProperties link;
-  link.bandwidth_bps = 0;
-  link.latency = microseconds(50);
-  return link;
-}
-
-corba::OctetSeq Key(std::string_view s) { return {s.begin(), s.end()}; }
+using testing::Eventually;
+using testing::Key;
+using testing::Rig;
+using testing::Serving;
 
 // Echo dispatcher: returns the request's operation name and its one long
 // argument + 1.
@@ -40,48 +33,16 @@ GiopServer::DispatchResult EchoDispatch(const RequestHeader& header,
   return result;
 }
 
-struct Rig {
-  Rig() : net(QuickLink()), server_mgr(&net, {"server", 7300}) {
-    EXPECT_TRUE(server_mgr.Listen().ok());
-    Result<std::unique_ptr<transport::ComChannel>> accepted(
-        Status(InternalError("unset")));
-    cool::Thread accept([&] { accepted = server_mgr.AcceptChannel(); });
-    transport::TcpComManager client_mgr(&net, {"client", 7300});
-    auto opened = client_mgr.OpenChannel({"server", 7300}, {});
-    accept.join();
-    EXPECT_TRUE(opened.ok());
-    EXPECT_TRUE(accepted.ok());
-    client_channel = std::move(opened).value();
-    server_channel = std::move(accepted).value();
-  }
-
-  // Serves exactly `n` incoming messages on a background thread.
-  cool::Thread Serve(GiopServer& server, int n) {
-    return cool::Thread([&server, n] {
-      for (int i = 0; i < n; ++i) {
-        const Status s = server.ServeOne(seconds(5));
-        if (!s.ok() && s.code() != ErrorCode::kProtocolError) return;
-      }
-    });
-  }
-
-  sim::Network net;
-  transport::TcpComManager server_mgr;
-  std::unique_ptr<transport::ComChannel> client_channel;
-  std::unique_ptr<transport::ComChannel> server_channel;
-};
-
 TEST(GiopEngineTest, SynchronousInvoke) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
+  Serving serving(rig, server);
 
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(41);
   auto reply = client.Invoke(Key("obj"), "ping", args.buffer().view(), {});
-  server_thread.join();
   ASSERT_TRUE(reply.ok()) << reply.status();
   EXPECT_EQ(reply->header.reply_status, ReplyStatus::kNoException);
 
@@ -94,17 +55,16 @@ TEST(GiopEngineTest, SynchronousInvoke) {
 
 TEST(GiopEngineTest, QosParamsReachTheServerInVersion99) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
+  Serving serving(rig, server);
 
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(1);
   const std::vector<qos::QoSParameter> qos = {
       qos::RequireThroughputKbps(1000, 100), qos::RequireReliability(2)};
   auto reply = client.Invoke(Key("obj"), "op", args.buffer().view(), qos);
-  server_thread.join();
   ASSERT_TRUE(reply.ok());
   cdr::Decoder dec = reply->MakeResultsDecoder();
   (void)dec.GetString();
@@ -116,26 +76,25 @@ TEST(GiopEngineTest, UnmodifiedServerRejects99WithMessageError) {
   // Paper backwards compatibility: a server without the extension answers
   // a 9.9 Request with MessageError; the client surfaces a protocol error.
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
   GiopServer::Options legacy;
   legacy.accept_qos_extension = false;
-  GiopServer server(rig.server_channel.get(), EchoDispatch, legacy);
-  auto server_thread = rig.Serve(server, 1);
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch, legacy);
+  Serving serving(rig, server);
 
   auto reply = client.Invoke(Key("obj"), "op", {},
                              {qos::RequireReliability(1)});
-  server_thread.join();
   EXPECT_EQ(reply.status().code(), ErrorCode::kProtocolError);
   EXPECT_EQ(server.requests_served(), 0u);
 }
 
 TEST(GiopEngineTest, LegacyServerStillServes10AfterRejecting99) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
   GiopServer::Options legacy;
   legacy.accept_qos_extension = false;
-  GiopServer server(rig.server_channel.get(), EchoDispatch, legacy);
-  auto server_thread = rig.Serve(server, 2);
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch, legacy);
+  Serving serving(rig, server);
 
   auto rejected = client.Invoke(Key("obj"), "op", {},
                                 {qos::RequireReliability(1)});
@@ -144,7 +103,6 @@ TEST(GiopEngineTest, LegacyServerStillServes10AfterRejecting99) {
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(1);
   auto accepted = client.Invoke(Key("obj"), "op", args.buffer().view(), {});
-  server_thread.join();
   EXPECT_TRUE(accepted.ok()) << accepted.status();
 }
 
@@ -152,9 +110,9 @@ TEST(GiopEngineTest, ClientWithoutExtensionNeverSends99) {
   Rig rig;
   GiopClient::Options opts;
   opts.use_qos_extension = false;
-  GiopClient client(rig.client_channel.get(), opts);
+  GiopClient client(rig.client_channel.get(), rig.reactor, opts);
   GiopServer server(
-      rig.server_channel.get(),
+      rig.server_channel.get(), rig.pool,
       [](const RequestHeader& header, cdr::Decoder&) {
         GiopServer::DispatchResult r;
         cdr::Encoder body(cdr::NativeOrder(), 0);
@@ -163,12 +121,11 @@ TEST(GiopEngineTest, ClientWithoutExtensionNeverSends99) {
         return r;
       },
       GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
+  Serving serving(rig, server);
 
   // QoS params supplied but extension off -> silently stripped (pure 1.0).
   auto reply =
       client.Invoke(Key("obj"), "op", {}, {qos::RequireReliability(1)});
-  server_thread.join();
   ASSERT_TRUE(reply.ok());
   cdr::Decoder dec = reply->MakeResultsDecoder();
   EXPECT_EQ(*dec.GetULong(), 0u);
@@ -176,29 +133,27 @@ TEST(GiopEngineTest, ClientWithoutExtensionNeverSends99) {
 
 TEST(GiopEngineTest, OnewayDoesNotWaitForReply) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
   std::atomic<int> served{0};
   GiopServer server(
-      rig.server_channel.get(),
+      rig.server_channel.get(), rig.pool,
       [&](const RequestHeader& header, cdr::Decoder&) {
         ++served;
         EXPECT_FALSE(header.response_expected);
         return GiopServer::DispatchResult{};
       },
       GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
+  Serving serving(rig, server);
   ASSERT_TRUE(client.InvokeOneway(Key("obj"), "notify", {}, {}).ok());
-  server_thread.join();
-  server.Close();  // drain the worker pool before asserting the upcall ran
-  EXPECT_EQ(served.load(), 1);
+  EXPECT_TRUE(Eventually([&] { return served.load() == 1; }));
 }
 
 TEST(GiopEngineTest, DeferredInvokeAndPoll) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
+  Serving serving(rig, server);
 
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(10);
@@ -206,7 +161,6 @@ TEST(GiopEngineTest, DeferredInvokeAndPoll) {
                                   {});
   ASSERT_TRUE(id.ok());
   auto reply = client.PollReply(*id);
-  server_thread.join();
   ASSERT_TRUE(reply.ok());
   cdr::Decoder dec = reply->MakeResultsDecoder();
   EXPECT_EQ(*dec.GetString(), "later");
@@ -215,12 +169,11 @@ TEST(GiopEngineTest, DeferredInvokeAndPoll) {
 
 TEST(GiopEngineTest, CancelledReplyIsDiscarded) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  // Server will handle the deferred request AND the cancel AND the next
-  // invoke (cancel may arrive after the reply was already sent).
-  auto server_thread = rig.Serve(server, 3);
+  // The cancel may arrive after the reply was already sent.
+  Serving serving(rig, server);
 
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(1);
@@ -237,54 +190,48 @@ TEST(GiopEngineTest, CancelledReplyIsDiscarded) {
   cdr::Decoder dec = reply->MakeResultsDecoder();
   EXPECT_EQ(*dec.GetString(), "fresh");
   EXPECT_EQ(*dec.GetLong(), 101);
-
-  rig.client_channel->Close();
-  server_thread.join();
 }
 
 TEST(GiopEngineTest, LocateRequestUsesLocator) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
   server.SetLocator(
       [](const corba::OctetSeq& key) { return key == Key("exists"); });
-  auto server_thread = rig.Serve(server, 2);
+  Serving serving(rig, server);
 
   auto here = client.Locate(Key("exists"));
   ASSERT_TRUE(here.ok());
   EXPECT_EQ(*here, LocateStatus::kObjectHere);
   auto gone = client.Locate(Key("missing"));
-  server_thread.join();
   ASSERT_TRUE(gone.ok());
   EXPECT_EQ(*gone, LocateStatus::kUnknownObject);
 }
 
 TEST(GiopEngineTest, CloseConnectionEndsServeLoop) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  cool::Thread server_thread([&] {
-    EXPECT_EQ(server.Serve().code(), ErrorCode::kCancelled);
-  });
+  Serving serving(rig, server);
   ASSERT_TRUE(client.SendClose().ok());
-  server_thread.join();
+  EXPECT_EQ(serving.WaitEnded().code(), ErrorCode::kCancelled);
 }
 
 TEST(GiopEngineTest, GarbageTriggersMessageErrorButConnectionSurvives) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 2);
+  Serving serving(rig, server);
 
   // Raw garbage straight into the channel.
   const std::vector<std::uint8_t> junk = {'J', 'U', 'N', 'K', 0, 0,
                                           0,   0,   0,   0,   0, 0};
   ASSERT_TRUE(rig.client_channel->SendMessage(junk).ok());
-  // The server answers MessageError; the engine-level receive on the
-  // client side reports it as a protocol error on the next receive...
+  // The server answers MessageError. The client registers its demux only
+  // with its first call, so this raw receive sees the answer...
   auto err = rig.client_channel->ReceiveMessage(seconds(2));
   ASSERT_TRUE(err.ok());
   auto parsed = ParseMessage(err->view());
@@ -295,65 +242,34 @@ TEST(GiopEngineTest, GarbageTriggersMessageErrorButConnectionSurvives) {
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(5);
   auto reply = client.Invoke(Key("obj"), "op", args.buffer().view(), {});
-  server_thread.join();
   EXPECT_TRUE(reply.ok()) << reply.status();
 }
 
 TEST(GiopEngineTest, RequestIdsIncrease) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 3);
+  Serving serving(rig, server);
   for (int i = 0; i < 3; ++i) {
     cdr::Encoder args = client.MakeArgsEncoder();
     args.PutLong(i);
     ASSERT_TRUE(
         client.Invoke(Key("obj"), "op", args.buffer().view(), {}).ok());
   }
-  server_thread.join();
   EXPECT_EQ(client.last_request_id(), 3u);
 }
 
-// Regression: the demux reader used to sit out a full poll quantum in
-// ReceiveMessage after the channel was closed, so client destruction
-// stalled for up to reader_poll. A close must interrupt the wait and the
-// destructor must join the reader promptly.
-TEST(GiopEngineTest, CloseInterruptsIdleReaderImmediately) {
-  Rig rig;
-  GiopClient::Options copts;
-  copts.reader_poll = seconds(30);  // a leaked quantum would hang the test
-  std::optional<GiopClient> client(std::in_place, rig.client_channel.get(),
-                                   copts);
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
-                    GiopServer::Options{});
-  auto server_thread = rig.Serve(server, 1);
-
-  // One round trip spins up the reader thread, which then goes idle.
-  cdr::Encoder args = client->MakeArgsEncoder();
-  args.PutLong(1);
-  ASSERT_TRUE(client->Invoke(Key("obj"), "op", args.buffer().view(), {}).ok());
-  server_thread.join();
-
-  Stopwatch timer;
-  rig.client_channel->Close();
-  client.reset();  // joins the reader
-  EXPECT_LT(timer.Elapsed(), seconds(5));
-}
-
-// The reactor-demux client: replies arrive via a reactor callback instead
-// of a dedicated reader thread, and teardown barriers the registration out.
+// Replies arrive via a reactor callback, not a thread of the engine's own,
+// and teardown barriers the registration out promptly.
 TEST(GiopEngineTest, ReactorDemuxInvokeAndTeardown) {
   Rig rig;
-  transport::Reactor reactor(2);
-  GiopClient::Options copts;
-  copts.reactor = &reactor;
   std::optional<GiopClient> client(std::in_place, rig.client_channel.get(),
-                                   copts);
-  GiopServer server(rig.server_channel.get(), EchoDispatch,
+                                   rig.reactor, GiopClient::Options{});
+  GiopServer server(rig.server_channel.get(), rig.pool, EchoDispatch,
                     GiopServer::Options{});
 
-  auto server_thread = rig.Serve(server, 2);
+  Serving serving(rig, server);
   for (int i = 0; i < 2; ++i) {
     cdr::Encoder args = client->MakeArgsEncoder();
     args.PutLong(41);
@@ -365,7 +281,6 @@ TEST(GiopEngineTest, ReactorDemuxInvokeAndTeardown) {
     EXPECT_EQ(*dec.GetString(), "ping");
     EXPECT_EQ(*dec.GetLong(), 42);
   }
-  server_thread.join();
 
   Stopwatch timer;
   rig.client_channel->Close();

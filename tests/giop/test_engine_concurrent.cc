@@ -12,40 +12,14 @@
 #include <thread>
 
 #include "common/thread.h"
-#include "transport/tcp_channel.h"
+#include "engine_rig.h"
 
 namespace cool::giop {
 namespace {
 
-sim::LinkProperties QuickLink() {
-  sim::LinkProperties link;
-  link.bandwidth_bps = 0;
-  link.latency = microseconds(50);
-  return link;
-}
-
-corba::OctetSeq Key(std::string_view s) { return {s.begin(), s.end()}; }
-
-struct Rig {
-  Rig() : net(QuickLink()), server_mgr(&net, {"server", 7310}) {
-    EXPECT_TRUE(server_mgr.Listen().ok());
-    Result<std::unique_ptr<transport::ComChannel>> accepted(
-        Status(InternalError("unset")));
-    cool::Thread accept([&] { accepted = server_mgr.AcceptChannel(); });
-    transport::TcpComManager client_mgr(&net, {"client", 7310});
-    auto opened = client_mgr.OpenChannel({"server", 7310}, {});
-    accept.join();
-    EXPECT_TRUE(opened.ok());
-    EXPECT_TRUE(accepted.ok());
-    client_channel = std::move(opened).value();
-    server_channel = std::move(accepted).value();
-  }
-
-  sim::Network net;
-  transport::TcpComManager server_mgr;
-  std::unique_ptr<transport::ComChannel> client_channel;
-  std::unique_ptr<transport::ComChannel> server_channel;
-};
+using testing::Key;
+using testing::Rig;
+using testing::Serving;
 
 // Variable-latency echo: sleeps 0..3 ms keyed off the argument, so replies
 // come back out of order whenever more than one worker runs. Echoes the
@@ -65,11 +39,10 @@ GiopServer::DispatchResult SlowEcho(const RequestHeader& header,
 
 TEST(GiopConcurrentTest, ThreadsTimesPipelineDepthOverOneChannel) {
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer::Options opts;
-  opts.worker_threads = 4;
-  GiopServer server(rig.server_channel.get(), SlowEcho, opts);
-  cool::Thread server_thread([&] { (void)server.Serve(); });
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, SlowEcho,
+                    GiopServer::Options{});
+  Serving serving(rig, server);
 
   constexpr int kThreads = 4;
   constexpr int kDepth = 8;
@@ -115,20 +88,16 @@ TEST(GiopConcurrentTest, ThreadsTimesPipelineDepthOverOneChannel) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.requests_served(), kThreads * 3u * kDepth);
   EXPECT_EQ(client.in_flight(), 0u);
-
-  rig.client_channel->Close();
-  server_thread.join();
 }
 
 TEST(GiopConcurrentTest, SynchronousInvokesPipelineToo) {
   // Plain Invoke from many threads: no caller-visible pipelining API, but
   // the demux must still interleave them over the one channel.
   Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer::Options opts;
-  opts.worker_threads = 4;
-  GiopServer server(rig.server_channel.get(), SlowEcho, opts);
-  cool::Thread server_thread([&] { (void)server.Serve(); });
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, SlowEcho,
+                    GiopServer::Options{});
+  Serving serving(rig, server);
 
   std::atomic<int> failures{0};
   {
@@ -154,18 +123,14 @@ TEST(GiopConcurrentTest, SynchronousInvokesPipelineToo) {
   }
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.requests_served(), 60u);
-
-  rig.client_channel->Close();
-  server_thread.join();
 }
 
 TEST(GiopConcurrentTest, CancelUnderLoad) {
-  Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer::Options opts;
-  opts.worker_threads = 2;
-  GiopServer server(rig.server_channel.get(), SlowEcho, opts);
-  cool::Thread server_thread([&] { (void)server.Serve(); });
+  Rig rig(2);
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, SlowEcho,
+                    GiopServer::Options{});
+  Serving serving(rig, server);
 
   constexpr int kRounds = 40;
   std::atomic<int> failures{0};
@@ -207,18 +172,14 @@ TEST(GiopConcurrentTest, CancelUnderLoad) {
   }
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(client.in_flight(), 0u);
-
-  rig.client_channel->Close();
-  server_thread.join();
 }
 
 TEST(GiopConcurrentTest, CloseConnectionWithRequestsInFlight) {
-  Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer::Options opts;
-  opts.worker_threads = 2;
-  GiopServer server(rig.server_channel.get(), SlowEcho, opts);
-  cool::Thread server_thread([&] { (void)server.Serve(); });
+  Rig rig(2);
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
+  GiopServer server(rig.server_channel.get(), rig.pool, SlowEcho,
+                    GiopServer::Options{});
+  Serving serving(rig, server);
 
   std::atomic<int> finished{0};
   {
@@ -241,7 +202,6 @@ TEST(GiopConcurrentTest, CloseConnectionWithRequestsInFlight) {
   }  // all caller threads must join without hanging
   EXPECT_EQ(finished.load(), 4);
   EXPECT_EQ(client.in_flight(), 0u);
-  server_thread.join();
 
   // The connection is terminal from the client's point of view.
   EXPECT_FALSE(client.Invoke(Key("obj"), "post-close", {}, {}).ok());
@@ -276,14 +236,12 @@ TEST(GiopConcurrentTest, QosPriorityMapsToDispatchClass) {
 TEST(GiopConcurrentTest, HighPriorityOvertakesQueuedLowPriority) {
   // Single worker + a slow head job: while it runs, one low- and one
   // high-priority request queue up; the high one must be served first.
-  Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
+  Rig rig(1);
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
   std::vector<std::string> order;
   Mutex order_mu;
-  GiopServer::Options opts;
-  opts.worker_threads = 1;
   GiopServer server(
-      rig.server_channel.get(),
+      rig.server_channel.get(), rig.pool,
       [&](const RequestHeader& header, cdr::Decoder&) {
         if (header.operation == "head") {
           // Hold the single worker long enough for both rivals to queue.
@@ -295,8 +253,8 @@ TEST(GiopConcurrentTest, HighPriorityOvertakesQueuedLowPriority) {
         }
         return GiopServer::DispatchResult{};
       },
-      opts);
-  cool::Thread server_thread([&] { (void)server.Serve(); });
+      GiopServer::Options{});
+  Serving serving(rig, server);
 
   auto head = client.InvokeDeferred(Key("obj"), "head", {}, {});
   ASSERT_TRUE(head.ok());
@@ -324,20 +282,16 @@ TEST(GiopConcurrentTest, HighPriorityOvertakesQueuedLowPriority) {
     EXPECT_EQ(order[1], "high");  // overtook the earlier-queued "low"
     EXPECT_EQ(order[2], "low");
   }
-  rig.client_channel->Close();
-  server_thread.join();
 }
 
 TEST(GiopConcurrentTest, CancelKillsQueuedButUnstartedDispatch) {
   // Single worker pinned by a slow head job; a queued request is cancelled
   // before the worker reaches it — it must never be dispatched.
-  Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
+  Rig rig(1);
+  GiopClient client(rig.client_channel.get(), rig.reactor, {});
   std::atomic<bool> doomed_ran{false};
-  GiopServer::Options opts;
-  opts.worker_threads = 1;
   GiopServer server(
-      rig.server_channel.get(),
+      rig.server_channel.get(), rig.pool,
       [&](const RequestHeader& header, cdr::Decoder&) {
         if (header.operation == "head") {
           std::this_thread::sleep_for(milliseconds(30));
@@ -345,8 +299,8 @@ TEST(GiopConcurrentTest, CancelKillsQueuedButUnstartedDispatch) {
         if (header.operation == "doomed") doomed_ran = true;
         return GiopServer::DispatchResult{};
       },
-      opts);
-  cool::Thread server_thread([&] { (void)server.Serve(); });
+      GiopServer::Options{});
+  Serving serving(rig, server);
 
   auto head = client.InvokeDeferred(Key("obj"), "head", {}, {});
   ASSERT_TRUE(head.ok());
@@ -359,32 +313,6 @@ TEST(GiopConcurrentTest, CancelKillsQueuedButUnstartedDispatch) {
   EXPECT_TRUE(client.PollReply(*head, seconds(5)).ok());
   EXPECT_FALSE(doomed_ran.load());
   EXPECT_EQ(server.requests_cancelled(), 1u);
-
-  rig.client_channel->Close();
-  server_thread.join();
-}
-
-TEST(GiopConcurrentTest, InlineModeStillServesSerially) {
-  // worker_threads = 0 is the historical inline mode: dispatch runs on the
-  // receive loop, no pool threads are ever started.
-  Rig rig;
-  GiopClient client(rig.client_channel.get(), {});
-  GiopServer::Options opts;
-  opts.worker_threads = 0;
-  GiopServer server(rig.server_channel.get(), SlowEcho, opts);
-  cool::Thread server_thread([&] {
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(server.ServeOne(seconds(5)).ok());
-    }
-  });
-  for (int i = 0; i < 5; ++i) {
-    cdr::Encoder args = client.MakeArgsEncoder();
-    args.PutLong(i);
-    auto reply = client.Invoke(Key("obj"), "inline", args.buffer().view(), {});
-    ASSERT_TRUE(reply.ok()) << reply.status();
-  }
-  server_thread.join();
-  EXPECT_EQ(server.requests_served(), 5u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // servant, and back. Parameterized over all three transports.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/thread.h"
 #include "orb/stub.h"
 #include "test_servants.h"
@@ -314,6 +316,50 @@ TEST(IorTest, StubFromStringifiedReference) {
   ASSERT_TRUE(reply.ok()) << reply.status();
   cdr::Decoder dec = reply->MakeDecoder();
   EXPECT_EQ(*dec.GetString(), "via-ior");
+  server.Shutdown();
+}
+
+// Live thread count of this process ("Threads:" in /proc/self/status).
+int ProcessThreads() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  int threads = -1;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "Threads:\t%d", &threads) == 1) break;
+  }
+  std::fclose(f);
+  return threads;
+}
+
+// Every binding's reply demux is a registration on its ORB's reactor, so
+// binding many stubs through one client ORB costs at most that reactor's
+// workers in threads, not one thread per binding.
+TEST(ClientThreadsTest, StubBindingsShareTheOrbReactor) {
+  sim::Network net(QuickLink());
+  ORB::Options server_options;
+  server_options.reactor_threads = 1;  // started by Start(): no growth below
+  ORB server(&net, "server", server_options);
+  auto ref = server.RegisterServant("calc", std::make_shared<CalcServant>());
+  ASSERT_TRUE(ref.ok());
+  ASSERT_TRUE(server.Start().ok());
+  ORB client(&net, "client");
+
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  constexpr int kBindings = 64;
+  std::vector<std::unique_ptr<Stub>> stubs;
+  for (int i = 0; i < kBindings; ++i) {
+    stubs.push_back(std::make_unique<Stub>(&client, *ref));
+    cdr::Encoder args = stubs.back()->MakeArgsEncoder();
+    args.PutLong(i);
+    args.PutLong(1);
+    auto reply = stubs.back()->Invoke("add", args.buffer().view());
+    ASSERT_TRUE(reply.ok()) << reply.status();
+  }
+  EXPECT_LE(ProcessThreads() - before,
+            static_cast<int>(client.reactor().workers()));
+  stubs.clear();  // the ORB outlives its stubs
   server.Shutdown();
 }
 

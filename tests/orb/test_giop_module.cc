@@ -8,6 +8,7 @@
 
 #include "giop/engine.h"
 #include "test_servants.h"
+#include "transport/reactor.h"
 
 namespace cool::orb {
 namespace {
@@ -51,12 +52,13 @@ class Alt2Test : public ::testing::Test {
   std::unique_ptr<sim::Network> net_;
   ObjectAdapter adapter_;
   std::unique_ptr<Alt2Server> server_;
+  transport::Reactor reactor_{1};  // the clients' reply demux
 };
 
 TEST_F(Alt2Test, InvocationThroughTheModuleGraph) {
   auto channel = Connect();
   ASSERT_NE(channel, nullptr);
-  giop::GiopClient client(channel.get(), {});
+  giop::GiopClient client(channel.get(), reactor_, {});
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(40);
   args.PutLong(2);
@@ -77,7 +79,7 @@ TEST_F(Alt2Test, WorksWithConfiguredCModulesBelowGiop) {
   graph.chain = {cipher, {dacapo::mechanisms::kCrc32, {}}};
   auto channel = Connect(graph);
   ASSERT_NE(channel, nullptr);
-  giop::GiopClient client(channel.get(), {});
+  giop::GiopClient client(channel.get(), reactor_, {});
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutString("via alt2");
   auto reply = client.Invoke(Key("calc"), "echo", args.buffer().view(), {});
@@ -93,7 +95,7 @@ TEST_F(Alt2Test, QosNegotiationStillWorks) {
                   .ok());
   auto channel = Connect();
   ASSERT_NE(channel, nullptr);
-  giop::GiopClient client(channel.get(), {});
+  giop::GiopClient client(channel.get(), reactor_, {});
   cdr::Encoder args = client.MakeArgsEncoder();
   args.PutLong(1);
   args.PutLong(1);
@@ -108,7 +110,7 @@ TEST_F(Alt2Test, QosNegotiationStillWorks) {
 TEST_F(Alt2Test, LocateRequestAnswered) {
   auto channel = Connect();
   ASSERT_NE(channel, nullptr);
-  giop::GiopClient client(channel.get(), {});
+  giop::GiopClient client(channel.get(), reactor_, {});
   auto here = client.Locate(Key("calc"));
   ASSERT_TRUE(here.ok()) << here.status();
   EXPECT_EQ(*here, giop::LocateStatus::kObjectHere);
@@ -132,7 +134,7 @@ TEST_F(Alt2Test, LegacyModeRejectsExtendedGiop) {
   auto session = connector.Connect({"server", 7701}, {});
   ASSERT_TRUE(session.ok());
   SessionComChannel channel(std::move(session).value());
-  giop::GiopClient client(&channel, {});
+  giop::GiopClient client(&channel, reactor_, {});
   auto reply =
       client.Invoke(Key("calc"), "add", {}, {qos::RequireReliability(1)});
   EXPECT_EQ(reply.status().code(), ErrorCode::kProtocolError);
@@ -153,7 +155,7 @@ TEST_F(Alt2Test, GarbageGetsMessageError) {
 TEST_F(Alt2Test, ManySequentialInvocations) {
   auto channel = Connect();
   ASSERT_NE(channel, nullptr);
-  giop::GiopClient client(channel.get(), {});
+  giop::GiopClient client(channel.get(), reactor_, {});
   for (int i = 0; i < 50; ++i) {
     cdr::Encoder args = client.MakeArgsEncoder();
     args.PutLong(i);
