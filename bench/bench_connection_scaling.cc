@@ -13,6 +13,12 @@
 // orb::Stub bindings. Every binding's reply demux is a registration on
 // that ORB's reactor, so the client's threads must stop growing once all
 // of its reactor workers run.
+//
+// A third sweep prices an idle Da CaPo binding: one client ORB binds
+// 1 -> 16 stubs over Da CaPo (a data plane at each end) and answers one
+// call on each, and the RSS growth per binding is what the planes hold
+// at rest. Packet storage is leased on demand, so that is a few threads'
+// stacks and the chain state, not packet memory.
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -242,6 +248,42 @@ bool MeasureStubBindings(std::size_t bindings, StubSample& out) {
   return true;
 }
 
+struct DacapoSample {
+  double bytes_per_binding = -1;  // RSS growth per idle binding
+  double rss_mb = -1;             // absolute RSS with all bindings held
+  int threads = -1;
+};
+
+bool MeasureDacapoBindings(std::size_t bindings, DacapoSample& out) {
+  sim::Network net(QuickLink());
+  orb::ORB server(&net, "server");
+  auto ref = server.RegisterServant("add", std::make_shared<AddServant>(),
+                                    orb::Protocol::kDacapo);
+  if (!ref.ok() || !server.Start().ok()) return false;
+  orb::ORB client(&net, "client");
+  const long rss_before_kb = SampleRssKb();
+  std::vector<std::unique_ptr<orb::Stub>> stubs;
+  stubs.reserve(bindings);
+  for (std::size_t i = 0; i < bindings; ++i) {
+    stubs.push_back(std::make_unique<orb::Stub>(&client, *ref));
+    cdr::Encoder args = stubs.back()->MakeArgsEncoder();
+    args.PutLong(static_cast<corba::Long>(i));
+    args.PutLong(1);
+    if (!stubs.back()->Invoke("add", args.buffer().view()).ok()) return false;
+  }
+  const long rss_bound_kb = SampleRssKb();
+  if (rss_before_kb >= 0 && rss_bound_kb >= rss_before_kb) {
+    out.bytes_per_binding =
+        static_cast<double>(rss_bound_kb - rss_before_kb) * 1024.0 /
+        static_cast<double>(bindings);
+    out.rss_mb = static_cast<double>(rss_bound_kb) / 1024.0;
+  }
+  out.threads = ProcessThreads();
+  stubs.clear();  // the ORB must outlive its stubs
+  server.Shutdown();
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -339,6 +381,34 @@ int main(int argc, char** argv) {
       "workers at every count: bindings are reactor registrations, not\n"
       "threads.\n",
       max_growth, client_workers);
+
+  cool::bench::Table dacapo_table({"bindings", "rss MB", "B/binding",
+                                   "threads"});
+  for (const std::size_t bindings :
+       {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    DacapoSample s;
+    if (!MeasureDacapoBindings(bindings, s)) {
+      std::fprintf(stderr, "dacapo binding failed at %zu bindings\n",
+                   bindings);
+      return 1;
+    }
+    dacapo_table.AddRow({std::to_string(bindings),
+                         cool::bench::Fmt("%.1f", s.rss_mb),
+                         cool::bench::Fmt("%.0f", s.bytes_per_binding),
+                         std::to_string(s.threads)});
+    cool::bench::BenchRecord rec;
+    rec.name = "dacapo bindings " + std::to_string(bindings);
+    rec.threads = s.threads;
+    rec.bytes_per_conn = s.bytes_per_binding;
+    rec.rss_mb = s.rss_mb;
+    records.push_back(std::move(rec));
+  }
+  std::printf(
+      "\n=== Idle Da CaPo bindings: one client ORB, 1 -> 16 bindings ===\n");
+  dacapo_table.Print();
+  std::printf(
+      "\nB/binding is the RSS two idle data planes hold (client and server\n"
+      "end): packet storage is leased per packet, so it holds none.\n");
 
   if (!args.json_path.empty() &&
       !cool::bench::WriteJson(args.json_path, records)) {

@@ -65,7 +65,6 @@ double MeasureMbps(const ModuleGraphSpec& graph, std::size_t packet_bytes,
   options.transport = ChannelOptions::Transport::kStream;
   options.graph = graph;
   options.packet_capacity = 64 * 1024;
-  options.arena_packets = 512;
 
   Result<std::unique_ptr<dacapo::Session>> rx_session(
       Status(InternalError("unset")));

@@ -47,7 +47,7 @@ double MeasureMBps(std::span<const std::uint8_t> buf, Duration window,
 // nothing, never blocks.
 class CollectPort : public ModulePort {
  public:
-  explicit CollectPort(PacketArena& arena) : arena_(arena) {}
+  explicit CollectPort(PacketBudget& budget) : budget_(budget) {}
 
   void ForwardUp(PacketPtr pkt) override { up_.push_back(std::move(pkt)); }
   void ForwardDown(PacketPtr pkt) override { up_.push_back(std::move(pkt)); }
@@ -60,13 +60,13 @@ class CollectPort : public ModulePort {
   }
   void ControlUp(ControlMsg) override {}
   void ControlDown(ControlMsg) override {}
-  PacketArena& arena() override { return arena_; }
+  PacketBudget& budget() override { return budget_; }
   std::string_view channel_name() const override { return "bench"; }
 
   std::vector<PacketPtr>& released() { return up_; }
 
  private:
-  PacketArena& arena_;
+  PacketBudget& budget_;
   std::vector<PacketPtr> up_;
 };
 
@@ -83,14 +83,15 @@ void PutSeq(std::uint8_t* out, std::uint32_t v) {
 // pushed back on and the packet re-enters.
 double MeasureSequencing(bool batched, Duration window) {
   constexpr std::size_t kTrain = 32;
-  PacketArena arena(kTrain + 4, 256);
+  auto budget = std::make_shared<PacketBudget>(
+      (kTrain + 4) * (Packet::kHeadroom + 256 + Packet::kTailroom));
   SequencerModule seq;
-  CollectPort port(arena);
+  CollectPort port(*budget);
 
   std::vector<PacketPtr> pool;
   const std::uint8_t payload[64] = {0x5A};
   for (std::size_t i = 0; i < kTrain; ++i) {
-    auto pkt = arena.Make(payload);
+    auto pkt = budget->Make(payload);
     if (!pkt.ok()) return 0;
     pool.push_back(std::move(pkt).value());
   }

@@ -31,8 +31,8 @@ enum class LockRank : int {
   // the rank monotonicity check, still part of cycle detection.
   kUnranked = -1,
 
-  // Leaf utilities that never acquire another lock while held: buffer
-  // pool, packet arenas, blocking queues, registries, stats counters.
+  // Leaf utilities that never acquire another lock while held: the buffer
+  // pool's size classes, blocking queues, registries, stats counters.
   kLeaf = 0,
 
   // sim::WaitSet cores and Watchables — the readiness primitive

@@ -104,7 +104,7 @@ class Mailbox {
       for (auto& p : pkts) up_.push_back({std::move(p), origin});
       cv_.NotifyOne();
     }
-    pkts.clear();  // closed: packets return to the arena here
+    pkts.clear();  // closed: packets are released here
   }
 
   // Down data: blocks while the down queue is full. Returns false when the
@@ -242,7 +242,7 @@ class Mailbox {
   void Close() {
     MutexLock lock(mu_);
     closed_ = true;
-    // Packets held in the queues return to the arena on destruction.
+    // Packets held in the queues are released on destruction.
     control_.clear();
     up_.clear();
     down_.clear();

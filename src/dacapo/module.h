@@ -102,16 +102,22 @@ class ModulePort {
   virtual void ControlUp(ControlMsg msg) = 0;
   virtual void ControlDown(ControlMsg msg) = 0;
 
-  // Shared packet memory of this connection.
-  virtual PacketArena& arena() = 0;
+  // Packet memory of this connection, charged to the plane's budget;
+  // kResourceExhausted while it is spent (transient: see WaitBudget).
+  Result<PacketPtr> Allocate(std::size_t n) { return budget().Allocate(n); }
+  Result<PacketPtr> Make(std::span<const std::uint8_t> payload) {
+    return budget().Make(payload);
+  }
+  Result<PacketPtr> Clone(const Packet& src) { return budget().Clone(src); }
+  virtual PacketBudget& budget() = 0;
 
-  // Arena-backpressure wait point: a module that must allocate (e.g. the
+  // Budget-backpressure wait point: a module that must allocate (e.g. the
   // fragmenter cutting a large message) calls this between retries instead
   // of sleeping directly. The engine override services up-traffic and
   // control while waiting, so the packets whose release we are waiting for
   // (ACKs opening a window below us) can still flow; the default is a
   // plain sleep for test doubles.
-  virtual void WaitArena(Duration d) { PreciseSleep(d); }
+  virtual void WaitBudget(Duration d) { PreciseSleep(d); }
 
   // Connection name, for logs.
   virtual std::string_view channel_name() const = 0;

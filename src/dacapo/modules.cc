@@ -291,7 +291,7 @@ std::string SequencerModule::DescribeStats() const {
 // --- IrqModule --------------------------------------------------------------
 
 void IrqModule::Transmit(Outstanding& o, ModulePort& port) {
-  auto clone = port.arena().Clone(*o.master);
+  auto clone = port.Clone(*o.master);
   if (!clone.ok()) {
     COOL_LOG(kWarn, "dacapo") << port.channel_name()
                               << "/irq: clone failed, will retry on tick";
@@ -302,7 +302,7 @@ void IrqModule::Transmit(Outstanding& o, ModulePort& port) {
 }
 
 void IrqModule::SendAck(std::uint32_t seq, ModulePort& port) {
-  auto ack = port.arena().Allocate();
+  auto ack = port.Allocate(0);  // header only, in the headroom
   if (!ack.ok()) return;  // peer retransmits; next ACK attempt will succeed
   std::uint8_t header[kArqHeaderSize];
   header[0] = kArqAck;
@@ -374,7 +374,7 @@ std::string IrqModule::DescribeStats() const {
 // --- GoBackNModule ----------------------------------------------------------
 
 void GoBackNModule::TransmitClone(const Packet& master, ModulePort& port) {
-  auto clone = port.arena().Clone(master);
+  auto clone = port.Clone(master);
   if (!clone.ok()) {
     COOL_LOG(kWarn, "dacapo") << port.channel_name()
                               << "/go_back_n: clone failed, retry on tick";
@@ -384,7 +384,7 @@ void GoBackNModule::TransmitClone(const Packet& master, ModulePort& port) {
 }
 
 void GoBackNModule::SendAck(ModulePort& port) {
-  auto ack = port.arena().Allocate();
+  auto ack = port.Allocate(0);  // header only, in the headroom
   if (!ack.ok()) return;
   std::uint8_t header[kArqHeaderSize];
   header[0] = kArqAck;
@@ -622,18 +622,18 @@ void FragmentModule::HandleData(Direction dir, PacketPtr pkt,
     std::vector<PacketPtr> train;  // whole message forwarded as one batch
     for (std::size_t offset = 0; offset < data.size(); offset += mtu_) {
       const std::size_t n = std::min(mtu_, data.size() - offset);
-      auto fragment = port.arena().Make(data.subspan(offset, n));
+      auto fragment = port.Make(data.subspan(offset, n));
       if (!fragment.ok()) {
-        // Arena backpressure: release what we already cut so downstream
-        // can drain it, then wait for capacity rather than tearing the
-        // message in half. WaitArena (not a plain sleep) keeps up-traffic
+        // Budget backpressure: release what we already cut so downstream
+        // can drain it, then wait for budget rather than tearing the
+        // message in half. WaitBudget (not a plain sleep) keeps up-traffic
         // flowing while we wait — the window below us may need an ACK
         // before it releases the very packets we are waiting for.
         port.ForwardDownBatch(train);
         while (!fragment.ok() &&
                fragment.status().code() == ErrorCode::kResourceExhausted) {
-          port.WaitArena(microseconds(100));
-          fragment = port.arena().Make(data.subspan(offset, n));
+          port.WaitBudget(microseconds(100));
+          fragment = port.Make(data.subspan(offset, n));
         }
         if (!fragment.ok()) {
           ReportError(port, name(), fragment.status().ToString());
@@ -648,7 +648,7 @@ void FragmentModule::HandleData(Direction dir, PacketPtr pkt,
       ++index;
       if (!(*fragment)->PushHeader(header).ok()) {
         ReportError(port, name(), "no headroom for fragment header");
-        return;  // collected fragments return to the arena undelivered
+        return;  // collected fragments are released undelivered
       }
       train.push_back(std::move(fragment).value());
     }
@@ -698,7 +698,7 @@ void FragmentModule::HandleData(Direction dir, PacketPtr pkt,
 
   rx_active_ = false;
   pkt.reset();  // free the fragment before allocating the full message
-  auto assembled = port.arena().Make(rx_buffer_);
+  auto assembled = port.Make(rx_buffer_);
   if (!assembled.ok()) {
     ++dropped_;
     ReportError(port, name(), assembled.status().ToString());
@@ -738,7 +738,7 @@ void AppAModule::HandleData(Direction dir, PacketPtr pkt, ModulePort& port) {
     rx_queue_.Push(std::move(pkt));  // zero-copy handoff to the application
     if (rx_notify_) rx_notify_();
   }
-  // kCountOnly: releasing the PacketPtr returns the buffer to the arena —
+  // kCountOnly: releasing the PacketPtr returns the buffer to the pool —
   // exactly the paper's measuring A-module behaviour.
 }
 
@@ -779,11 +779,15 @@ void AppAModule::ProcessBurst(Direction dir, PacketBatch& batch,
     if (rx_notify_) rx_notify_();
     return;
   }
-  batch.Clear();  // kCountOnly: buffers return to the arena
+  batch.Clear();  // kCountOnly: buffers return to the pool
 }
 
 void AppAModule::OnStop(ModulePort& port) {
   (void)port;
+  CloseRx();
+}
+
+void AppAModule::CloseRx() {
   rx_queue_.Close();
   if (rx_notify_) rx_notify_();
 }

@@ -342,16 +342,20 @@ class AppAModule : public Module {
   void OnStop(ModulePort& port) override;
 
   // Application receive side (kQueue mode). Blocks up to `timeout`. The
-  // packet variant hands out the arena packet itself (zero-copy); the
+  // packet variant hands out the received packet itself (zero-copy); the
   // vector variant is a thin copying wrapper kept for convenience. Held
-  // PacketPtrs count against the arena, so a slow application now exerts
-  // memory backpressure instead of growing an unbounded copy queue.
+  // PacketPtrs stay charged to the plane's budget, so a slow application
+  // exerts memory backpressure instead of growing an unbounded queue.
   Result<PacketPtr> ReceivePacket(Duration timeout);
   Result<std::vector<std::uint8_t>> Receive(Duration timeout);
 
   // Non-blocking receive: a null PacketPtr when nothing is queued right
   // now, kUnavailable once the queue is closed and drained.
   Result<PacketPtr> TryReceivePacket();
+
+  // Closes the receive queue (as stopping does): receivers drain it, then
+  // fail with kUnavailable; later deliveries are dropped. Thread-safe.
+  void CloseRx();
 
   // Called after each upward delivery (and on close) so a reactor-attached
   // session can be signalled without the application parking a thread in

@@ -2,107 +2,39 @@
 
 namespace cool::dacapo {
 
-void PacketReturner::operator()(Packet* p) const noexcept {
-  if (p != nullptr && arena != nullptr) arena->Return(p);
-}
-
-PacketArena::PacketArena(std::size_t packet_count,
-                         std::size_t payload_capacity)
-    : payload_capacity_(payload_capacity) {
-  all_.reserve(packet_count);
-  free_.reserve(packet_count);
-  for (std::size_t i = 0; i < packet_count; ++i) {
-    all_.push_back(std::make_unique<Packet>(payload_capacity));
-    free_.push_back(all_.back().get());
+Packet::~Packet() {
+  if (budget_ != nullptr) {
+    budget_->in_flight_.fetch_sub(buf_.size(), std::memory_order_relaxed);
   }
 }
 
-PacketArena::~PacketArena() = default;
-
-Result<PacketPtr> PacketArena::Allocate() {
-  MutexLock lock(mu_);
-  if (free_.empty()) {
-    return Status(ResourceExhaustedError("packet arena exhausted"));
-  }
-  Packet* p = free_.back();
-  free_.pop_back();
-  p->Reset();
+Result<PacketPtr> PacketBudget::Allocate(std::size_t payload) {
+  const std::size_t capacity = payload + Packet::kTailroom;
+  const std::size_t bytes = Packet::kHeadroom + capacity;
+  std::size_t used = in_flight_.load(std::memory_order_relaxed);
+  do {
+    if (bytes > limit_ - used) {
+      return Status(ResourceExhaustedError("packet budget exhausted"));
+    }
+  } while (!in_flight_.compare_exchange_weak(used, used + bytes,
+                                             std::memory_order_relaxed));
+  auto p = std::make_unique<Packet>(capacity);
+  p->budget_ = shared_from_this();
   p->set_created_at(Now());
-  return PacketPtr(p, PacketReturner{this});
+  return p;
 }
 
-Result<PacketPtr> PacketArena::Make(std::span<const std::uint8_t> payload) {
-  COOL_ASSIGN_OR_RETURN(PacketPtr p, Allocate());
+Result<PacketPtr> PacketBudget::Make(std::span<const std::uint8_t> payload) {
+  COOL_ASSIGN_OR_RETURN(PacketPtr p, Allocate(payload.size()));
   COOL_RETURN_IF_ERROR(p->SetPayload(payload));
   return p;
 }
 
-Result<PacketPtr> PacketArena::Clone(const Packet& src) {
-  COOL_ASSIGN_OR_RETURN(PacketPtr p, Allocate());
+Result<PacketPtr> PacketBudget::Clone(const Packet& src) {
+  COOL_ASSIGN_OR_RETURN(PacketPtr p, Allocate(src.size()));
   COOL_RETURN_IF_ERROR(p->SetPayload(src.Data()));
   p->set_created_at(src.created_at());
   return p;
-}
-
-std::size_t PacketArena::in_flight() const {
-  MutexLock lock(mu_);
-  return all_.size() - free_.size();
-}
-
-void PacketArena::Return(Packet* p) noexcept {
-  MutexLock lock(mu_);
-  free_.push_back(p);
-}
-
-std::size_t PacketArena::TakeFreeBatch(std::size_t n,
-                                       std::vector<Packet*>& out) {
-  MutexLock lock(mu_);
-  const std::size_t take = std::min(n, free_.size());
-  for (std::size_t i = 0; i < take; ++i) {
-    out.push_back(free_.back());
-    free_.pop_back();
-  }
-  return take;
-}
-
-void PacketArena::PutFreeBatch(std::vector<Packet*>& batch) {
-  if (batch.empty()) return;
-  MutexLock lock(mu_);
-  free_.insert(free_.end(), batch.begin(), batch.end());
-  batch.clear();
-}
-
-// --- PacketCache ------------------------------------------------------------
-
-Result<PacketPtr> PacketCache::Allocate() {
-  Packet* p = nullptr;
-  {
-    MutexLock lock(mu_);
-    if (local_.empty()) {
-      (void)arena_->TakeFreeBatch(batch_size_, local_);
-    }
-    if (!local_.empty()) {
-      p = local_.back();
-      local_.pop_back();
-    }
-  }
-  if (p == nullptr) {
-    return Status(ResourceExhaustedError("packet arena exhausted"));
-  }
-  p->Reset();
-  p->set_created_at(Now());
-  return PacketPtr(p, PacketReturner{arena_});
-}
-
-Result<PacketPtr> PacketCache::Make(std::span<const std::uint8_t> payload) {
-  COOL_ASSIGN_OR_RETURN(PacketPtr p, Allocate());
-  COOL_RETURN_IF_ERROR(p->SetPayload(payload));
-  return p;
-}
-
-void PacketCache::Flush() {
-  MutexLock lock(mu_);
-  arena_->PutFreeBatch(local_);
 }
 
 }  // namespace cool::dacapo

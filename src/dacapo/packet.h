@@ -1,35 +1,47 @@
-// Da CaPo packets and the shared packet arena (paper Fig. 6: "The packets
-// are situated in shared memory accessible by Da CaPo modules"; modules
+// Da CaPo packets and their memory budget (paper Fig. 6: "The packets are
+// situated in shared memory accessible by Da CaPo modules"; modules
 // exchange *pointers* to packets over message queues).
 //
 // A Packet is a fixed-capacity buffer with headroom: C-modules prepend
 // their protocol headers in place on the way down (PushHeader) and strip
 // them on the way up (PopHeader), so payload bytes are written once by the
-// A-module and never copied again inside the chain.
+// A-module and never copied again inside the chain. Its storage is leased
+// from the shared BufferPool for the size it carries; a plane's
+// PacketBudget caps what its packets hold (paper Fig. 5's admitted memory).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <vector>
 
+#include "common/buffer_pool.h"
 #include "common/clock.h"
-#include "common/mutex.h"
 #include "common/status.h"
 
 namespace cool::dacapo {
 
-class PacketArena;
+class PacketBudget;
 
 class Packet {
  public:
   // Headroom for stacked module headers; 16 modules x 8 bytes fits easily.
   static constexpr std::size_t kHeadroom = 128;
+  // Tail slack every budgeted allocation adds behind the payload, so
+  // checksum trailers fit behind a full-size message.
+  static constexpr std::size_t kTailroom = 64;
 
+  // Unbudgeted packet with room for `payload_capacity` octets (payload plus
+  // trailers) behind the headroom. Data-plane packets come from a budget.
   explicit Packet(std::size_t payload_capacity)
-      : buf_(kHeadroom + payload_capacity),
+      : buf_(BufferPool::Default().LeaseSized(kHeadroom + payload_capacity)),
         data_off_(kHeadroom),
         data_len_(0) {}
+  // Returns the storage to the pool and credits the budget, if any.
+  ~Packet();
+
+  Packet(const Packet&) = delete;
+  Packet& operator=(const Packet&) = delete;
 
   // --- payload ------------------------------------------------------------
   // Replaces the packet content (resets any pushed headers).
@@ -39,15 +51,14 @@ class Packet {
     }
     data_off_ = kHeadroom;
     data_len_ = payload.size();
-    std::copy(payload.begin(), payload.end(),
-              buf_.begin() + static_cast<std::ptrdiff_t>(data_off_));
+    std::copy(payload.begin(), payload.end(), buf_.data() + data_off_);
     return Status::Ok();
   }
 
   // Zero-copy fill seam: resets the packet (like SetPayload) to an
-  // *uninitialized* payload of `n` octets and exposes it for writing, so
-  // transports can receive and encoders can marshal directly into arena
-  // packet memory instead of staging through an intermediate buffer.
+  // *unspecified* payload of `n` octets and exposes it for writing, so
+  // transports can receive and encoders can marshal directly into packet
+  // memory instead of staging through an intermediate buffer.
   Result<std::span<std::uint8_t>> WritablePayload(std::size_t n) {
     if (n > buf_.size() - kHeadroom) {
       return Status(InvalidArgumentError("payload exceeds packet capacity"));
@@ -72,8 +83,7 @@ class Packet {
     }
     data_off_ -= header.size();
     data_len_ += header.size();
-    std::copy(header.begin(), header.end(),
-              buf_.begin() + static_cast<std::ptrdiff_t>(data_off_));
+    std::copy(header.begin(), header.end(), buf_.data() + data_off_);
     return Status::Ok();
   }
 
@@ -95,8 +105,7 @@ class Packet {
       return ResourceExhaustedError("packet tailroom exhausted");
     }
     std::copy(trailer.begin(), trailer.end(),
-              buf_.begin() +
-                  static_cast<std::ptrdiff_t>(data_off_ + data_len_));
+              buf_.data() + data_off_ + data_len_);
     data_len_ += trailer.size();
     return Status::Ok();
   }
@@ -115,43 +124,29 @@ class Packet {
   std::size_t capacity() const noexcept { return buf_.size() - kHeadroom; }
 
  private:
-  friend class PacketArena;
-  friend class PacketCache;
+  friend class PacketBudget;
 
-  void Reset() noexcept {
-    data_off_ = kHeadroom;
-    data_len_ = 0;
-    created_at_ = TimePoint{};
-  }
-
-  std::vector<std::uint8_t> buf_;
+  ByteBuffer buf_;  // fixed size: kHeadroom + capacity()
   std::size_t data_off_;
   std::size_t data_len_;
   TimePoint created_at_{};
+  std::shared_ptr<PacketBudget> budget_;  // charged buf_.size(); may be null
 };
 
-// Deleter that returns packets to their arena instead of freeing them.
-struct PacketReturner {
-  PacketArena* arena = nullptr;
-  void operator()(Packet* p) const noexcept;
-};
+using PacketPtr = std::unique_ptr<Packet>;
 
-using PacketPtr = std::unique_ptr<Packet, PacketReturner>;
-
-// Pool of reusable packets ("shared memory" of the original system). The
-// arena bounds total packet memory: Allocate fails with kResourceExhausted
-// when the pool is fully in flight, which the resource manager uses as the
-// memory-admission backstop.
-class PacketArena {
+// A data plane's packet-memory budget: each packet it allocates is charged
+// the bytes it leases (kHeadroom + payload + kTailroom) until released.
+// Allocate fails with kResourceExhausted while the limit would be passed:
+// the plane's backpressure (senders wait it out, T modules drop and count).
+// Packets share the budget (a counter, no memory), so one released after
+// its plane is gone is still safe. Own it with std::make_shared.
+class PacketBudget : public std::enable_shared_from_this<PacketBudget> {
  public:
-  PacketArena(std::size_t packet_count, std::size_t payload_capacity);
-  ~PacketArena();
+  explicit PacketBudget(std::size_t limit_bytes) : limit_(limit_bytes) {}
 
-  PacketArena(const PacketArena&) = delete;
-  PacketArena& operator=(const PacketArena&) = delete;
-
-  // Pops a packet from the free list.
-  Result<PacketPtr> Allocate();
+  // An empty packet with room for `payload` octets plus kTailroom.
+  Result<PacketPtr> Allocate(std::size_t payload);
 
   // Allocates a packet carrying `payload`.
   Result<PacketPtr> Make(std::span<const std::uint8_t> payload);
@@ -159,61 +154,17 @@ class PacketArena {
   // Deep copy (used by ARQ modules to keep retransmission copies).
   Result<PacketPtr> Clone(const Packet& src);
 
-  std::size_t capacity() const noexcept { return all_.size(); }
-  std::size_t in_flight() const;
-  std::size_t payload_capacity() const noexcept { return payload_capacity_; }
-
- private:
-  friend struct PacketReturner;
-  friend class PacketCache;
-  void Return(Packet* p) noexcept;
-
-  // Batch refill/flush used by PacketCache: up to `n` free packets move
-  // into / all of `batch` moves out of the free list under one lock
-  // acquisition. The raw pointers stay owned by all_.
-  std::size_t TakeFreeBatch(std::size_t n, std::vector<Packet*>& out);
-  void PutFreeBatch(std::vector<Packet*>& batch);
-
-  const std::size_t payload_capacity_;
-  mutable Mutex mu_{LockRank::kLeaf, "dacapo::PacketArena::mu_"};
-  std::vector<std::unique_ptr<Packet>> all_;  // immutable after construction
-  std::vector<Packet*> free_ COOL_GUARDED_BY(mu_);
-};
-
-// A small cache of free packets in front of a shared PacketArena, refilled
-// and flushed in batches so one arena-mutex acquisition covers `batch_size`
-// allocations. One cache per data-path endpoint (the application send seam,
-// a T module's receive loop) keeps the hot allocation path off the shared
-// free-list lock. Packets allocated here still carry the arena deleter, so
-// they may be released anywhere, any time, without touching the cache.
-// The arena must outlive the cache (it does: caches live in modules or
-// planes, both owned by the chain that owns the arena).
-class PacketCache {
- public:
-  explicit PacketCache(PacketArena& arena, std::size_t batch_size = 16)
-      : arena_(&arena), batch_size_(batch_size) {
-    local_.reserve(batch_size_);
+  std::size_t limit() const noexcept { return limit_; }
+  // Bytes charged by live packets.
+  std::size_t in_flight() const noexcept {
+    return in_flight_.load(std::memory_order_relaxed);
   }
-  ~PacketCache() { Flush(); }
-
-  PacketCache(const PacketCache&) = delete;
-  PacketCache& operator=(const PacketCache&) = delete;
-
-  // As PacketArena::Allocate, refilling from the arena in batches.
-  Result<PacketPtr> Allocate();
-  // As PacketArena::Make.
-  Result<PacketPtr> Make(std::span<const std::uint8_t> payload);
-
-  // Returns every cached free packet to the arena.
-  void Flush();
-
-  PacketArena& arena() noexcept { return *arena_; }
 
  private:
-  PacketArena* const arena_;
-  const std::size_t batch_size_;
-  Mutex mu_{LockRank::kLeaf, "dacapo::PacketCache::mu_"};
-  std::vector<Packet*> local_ COOL_GUARDED_BY(mu_);
+  friend class Packet;
+
+  const std::size_t limit_;
+  std::atomic<std::size_t> in_flight_{0};
 };
 
 }  // namespace cool::dacapo

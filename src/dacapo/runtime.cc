@@ -8,10 +8,10 @@ namespace cool::dacapo {
 
 ModuleChain::ModuleChain(std::string name,
                          std::vector<std::unique_ptr<Module>> modules,
-                         std::shared_ptr<PacketArena> arena,
+                         std::shared_ptr<PacketBudget> budget,
                          std::size_t burst_size)
     : name_(std::move(name)),
-      arena_(std::move(arena)),
+      budget_(std::move(budget)),
       modules_(std::move(modules)),
       burst_size_(std::clamp<std::size_t>(burst_size, 1,
                                           PacketBatch::kCapacity)) {
@@ -197,9 +197,9 @@ void ModuleChain::BurstPort::ControlDown(ControlMsg msg) {
   chain_->WalkControl(Direction::kDown, index_ + 1, std::move(msg));
 }
 
-void ModuleChain::BurstPort::WaitArena(Duration d) {
-  // Push out whatever this module already emitted (their buffers return to
-  // the arena once the bottom releases them), let the engine service
+void ModuleChain::BurstPort::WaitBudget(Duration d) {
+  // Push out whatever this module already emitted (their bytes credit the
+  // budget once the bottom releases them), let the engine service
   // up-traffic (ACKs opening windows below), then back off.
   Flush();
   chain_->PumpWhileWaiting();

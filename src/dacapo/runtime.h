@@ -36,7 +36,7 @@ class ModuleChain {
   using ControlSink = std::function<void(ControlMsg)>;
 
   ModuleChain(std::string name, std::vector<std::unique_ptr<Module>> modules,
-              std::shared_ptr<PacketArena> arena,
+              std::shared_ptr<PacketBudget> budget,
               std::size_t burst_size = PacketBatch::kCapacity);
   ~ModuleChain();
 
@@ -71,8 +71,7 @@ class ModuleChain {
   // Sends a control message down the chain starting at the top module.
   void InjectControlDown(ControlMsg msg);
 
-  PacketArena& arena() noexcept { return *arena_; }
-  std::shared_ptr<PacketArena> arena_ptr() const { return arena_; }
+  PacketBudget& budget() noexcept { return *budget_; }
 
   std::size_t size() const noexcept { return modules_.size(); }
   Module& module(std::size_t i) { return *modules_[i]; }
@@ -98,7 +97,7 @@ class ModuleChain {
     void ForwardDownBatch(std::vector<PacketPtr>& pkts) override;
     void ControlUp(ControlMsg msg) override;
     void ControlDown(ControlMsg msg) override;
-    PacketArena& arena() override { return chain_->arena(); }
+    PacketBudget& budget() override { return chain_->budget(); }
     std::string_view channel_name() const override { return chain_->name_; }
 
    private:
@@ -109,7 +108,7 @@ class ModuleChain {
   // Engine-thread-only ModulePort: buffers a module's emissions and
   // flushes them *synchronously* into the neighbouring walk (recursion),
   // so a burst runs to completion — down-emissions reach the wire, and the
-  // packets they release return to the arena, while the emitter is still
+  // packets they release credit the budget, while the emitter is still
   // on the stack. Constructed on the stack around each ProcessBurst /
   // HandleControl / OnTick call.
   class BurstPort : public ModulePort {
@@ -124,8 +123,8 @@ class ModuleChain {
     void ForwardDownBatch(std::vector<PacketPtr>& pkts) override;
     void ControlUp(ControlMsg msg) override;
     void ControlDown(ControlMsg msg) override;
-    PacketArena& arena() override { return chain_->arena(); }
-    void WaitArena(Duration d) override;
+    PacketBudget& budget() override { return chain_->budget(); }
+    void WaitBudget(Duration d) override;
     std::string_view channel_name() const override { return chain_->name_; }
 
     void Flush();
@@ -161,12 +160,12 @@ class ModuleChain {
   Duration PopWait() const;
   void DeliverUpSink(PacketPtr pkt);
 
-  // Services up/control traffic + stalls while a module waits for arena
-  // space mid-burst (BurstPort::WaitArena).
+  // Services up/control traffic + stalls while a module waits for budget
+  // mid-burst (BurstPort::WaitBudget).
   void PumpWhileWaiting();
 
   const std::string name_;
-  std::shared_ptr<PacketArena> arena_;
+  std::shared_ptr<PacketBudget> budget_;
   std::vector<std::unique_ptr<Module>> modules_;
   std::vector<std::unique_ptr<Port>> ports_;
   const std::size_t burst_size_;

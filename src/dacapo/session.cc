@@ -11,9 +11,6 @@ namespace cool::dacapo {
 
 namespace {
 
-// Tail slack so checksum trailers fit behind a full-size payload.
-constexpr std::size_t kTrailerSlack = 64;
-
 // Bound on every connection-setup handshake wait (CONFIG, ACK, and the
 // data-plane accept). A peer that stalls or vanishes mid-setup must fail
 // the connect, not wedge the caller.
@@ -185,8 +182,6 @@ Result<Session::DataPlane> Session::BuildPlane(
     sim::Address dgram_peer, Session* owner) {
   DataPlane plane;
   plane.graph = graph;
-  plane.arena = std::make_shared<PacketArena>(
-      options.arena_packets, options.packet_capacity + kTrailerSlack);
 
   std::vector<std::unique_ptr<Module>> modules;
   AppAModule* a_raw = nullptr;
@@ -217,8 +212,9 @@ Result<Session::DataPlane> Session::BuildPlane(
   }
 
   plane.chain = std::make_unique<ModuleChain>(
-      "dacapo", std::move(modules), plane.arena, options.burst_size);
-  plane.tx_cache = std::make_unique<PacketCache>(*plane.arena);
+      "dacapo", std::move(modules),
+      std::make_shared<PacketBudget>(options.packet_budget_bytes),
+      options.burst_size);
   plane.a_module = a_raw;
   if (owner != nullptr) {
     if (a_raw != nullptr) {
@@ -240,20 +236,19 @@ Result<Session::DataPlane> Session::BuildPlane(
 
 void Session::AdoptPlane(DataPlane plane) {
   {
+    // Wake receivers blocked on the old plane (they hold the lock shared)
+    // so the swap can take it exclusively. The old chain runs until then:
+    // a send in progress finishes on it, never torn in half.
     ReaderMutexLock lock(plane_mu_);
-    if (plane_.chain != nullptr) plane_.chain->Stop();
+    if (plane_.a_module != nullptr) plane_.a_module->CloseRx();
   }
   DataPlane old;
   {
     WriterMutexLock lock(plane_mu_);
-    // Move the old plane out whole instead of assigning over it: a direct
-    // member-wise move-assignment would replace `arena` (freeing it) before
-    // `tx_cache`, whose destructor flushes into that arena.
     old = std::move(plane_);
     plane_ = std::move(plane);
   }
-  // `old` dies here, outside the lock, in reverse declaration order:
-  // tx_cache flushes, then the chain and the arena go.
+  // `old` stops and dies here, outside the lock.
 
   // Wake any reactor waiting on the old (now torn down) plane so it
   // re-polls against the new one.
@@ -267,35 +262,30 @@ Status Session::Send(std::span<const std::uint8_t> payload) {
   });
 }
 
-Result<ReceivedMessage> Session::ReceivePacket(Duration timeout) {
+Result<PacketPtr> Session::ReceivePacket(Duration timeout) {
   const TimePoint deadline = DeadlineFor(timeout);
   for (;;) {
     AppAModule* a = nullptr;
-    std::shared_ptr<PacketArena> arena;
     Result<PacketPtr> got(Status(UnavailableError("data plane torn down")));
     {
-      // The blocking receive runs UNDER the shared lock: AdoptPlane stops
-      // the old chain while itself holding only a shared lock (which wakes
-      // us with kUnavailable) and needs the exclusive lock to destroy it,
-      // so the module cannot be freed while we are still inside it.
+      // The blocking receive runs UNDER the shared lock: AdoptPlane closes
+      // the old queue under a shared lock (waking us with kUnavailable) and
+      // needs the exclusive lock to destroy the plane, so the module cannot
+      // be freed while we are still inside it.
       ReaderMutexLock lock(plane_mu_);
       a = plane_.a_module;
       if (a == nullptr) {
         return Status(
             FailedPreconditionError("session has no active data plane"));
       }
-      arena = plane_.arena;
       got = a->ReceivePacket(deadline - Now());
     }
-    if (got.ok()) {
-      return ReceivedMessage(std::move(arena), std::move(got).value());
-    }
-    if (got.status().code() != ErrorCode::kUnavailable) {
-      return got.status();
+    if (got.ok() || got.status().code() != ErrorCode::kUnavailable) {
+      return got;
     }
     // The plane we were blocked on was torn down. If a reconfiguration
     // swapped in a new plane, keep receiving from it; if the session is
-    // closed, surface the error. AdoptPlane stops the old chain slightly
+    // closed, surface the error. AdoptPlane closes the old queue slightly
     // before swapping the plane pointer in, so allow a short grace window
     // for the swap to land. The window is NOT capped by the caller's
     // deadline: a short-quantum poller (the GIOP reply demultiplexer)
@@ -320,12 +310,12 @@ Result<ReceivedMessage> Session::ReceivePacket(Duration timeout) {
 }
 
 Result<std::vector<std::uint8_t>> Session::Receive(Duration timeout) {
-  COOL_ASSIGN_OR_RETURN(ReceivedMessage msg, ReceivePacket(timeout));
-  const auto data = msg.data();
+  COOL_ASSIGN_OR_RETURN(PacketPtr msg, ReceivePacket(timeout));
+  const auto data = msg->Data();
   return std::vector<std::uint8_t>(data.begin(), data.end());
 }
 
-Result<ReceivedMessage> Session::TryReceivePacket() {
+Result<PacketPtr> Session::TryReceivePacket() {
   ReaderMutexLock lock(plane_mu_);
   AppAModule* a = plane_.a_module;
   if (a == nullptr) {
@@ -334,17 +324,14 @@ Result<ReceivedMessage> Session::TryReceivePacket() {
         FailedPreconditionError("session has no active data plane"));
   }
   Result<PacketPtr> got = a->TryReceivePacket();
-  if (!got.ok()) {
-    if (got.status().code() == ErrorCode::kUnavailable && !closed_.load()) {
-      // Reconfiguration in flight: the old plane is stopped but its
-      // replacement has not landed yet. Nothing deliverable right now;
-      // AdoptPlane signals the watch once the swap completes.
-      return ReceivedMessage{};
-    }
-    return got.status();
+  if (!got.ok() && got.status().code() == ErrorCode::kUnavailable &&
+      !closed_.load()) {
+    // Reconfiguration in flight: the old plane is closed but its
+    // replacement has not landed yet. Nothing deliverable right now;
+    // AdoptPlane signals the watch once the swap completes.
+    return PacketPtr{};
   }
-  if (*got == nullptr) return ReceivedMessage{};  // nothing queued
-  return ReceivedMessage(plane_.arena, std::move(got).value());
+  return got;  // a null packet when nothing is queued
 }
 
 void Session::WatchRx(const sim::WaitSet& set, std::uint64_t token) {
@@ -407,7 +394,9 @@ Status Session::Reconfigure(const ModuleGraphSpec& new_graph) {
 
   auto response = responses_.PopFor(seconds(10));
   if (!response.has_value()) {
-    return DeadlineExceededError("reconfiguration response timed out");
+    return responses_.closed()
+               ? UnavailableError("connection closed during reconfiguration")
+               : DeadlineExceededError("reconfiguration response timed out");
   }
   const std::uint8_t type = response->front();
   const std::span<const std::uint8_t> body{response->data() + 1,
@@ -501,12 +490,14 @@ void Session::HandleReconfRequest(std::span<const std::uint8_t> body) {
 }
 
 void Session::SignallingLoop(std::stop_token stop) {
+  // Every exit closes responses_: a waiting Reconfigure fails at once.
   while (!stop.stop_requested()) {
     auto frame = wire::RecvFrame(*signalling_);
     if (!frame.ok()) {
       if (!closed_.load()) {
         ReportError(UnavailableError("signalling channel lost"));
       }
+      responses_.Close();
       return;
     }
     const auto& [type, body] = *frame;
@@ -529,6 +520,7 @@ void Session::SignallingLoop(std::stop_token stop) {
           ReaderMutexLock lock(plane_mu_);
           if (plane_.chain != nullptr) plane_.chain->Stop();
         }
+        responses_.Close();
         return;
       default:
         COOL_LOG(kWarn, "dacapo")
@@ -536,6 +528,7 @@ void Session::SignallingLoop(std::stop_token stop) {
         break;
     }
   }
+  responses_.Close();
 }
 
 void Session::Close() {
@@ -697,9 +690,8 @@ Result<std::unique_ptr<Session>> Acceptor::Establish(
   }
   ResourceManager::Reservation reservation;
   if (resources_ != nullptr) {
-    auto admitted = resources_->Admit(
-        qos::ProtocolRequirements{},
-        options.arena_packets * (options.packet_capacity + kTrailerSlack));
+    auto admitted = resources_->Admit(qos::ProtocolRequirements{},
+                                      options.packet_budget_bytes);
     if (!admitted.ok()) return nak_and_fail(admitted.status());
     reservation = std::move(admitted).value();
   }

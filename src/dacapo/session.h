@@ -43,7 +43,9 @@ struct ChannelOptions {
   Transport transport = Transport::kStream;
   ModuleGraphSpec graph;  // C modules, top to bottom
   AppAModule::DeliveryMode delivery = AppAModule::DeliveryMode::kQueue;
-  std::size_t arena_packets = 512;
+  // Bytes a data plane's live packets may hold (leased on demand, so an
+  // idle plane holds none); what ResourceManager::Admit reserves.
+  std::size_t packet_budget_bytes = 32 << 20;
   std::size_t packet_capacity = 64 * 1024;
   // Packet-train size of the data plane's burst engine: how many packets
   // the engine walks through the chain per mailbox round-trip (clamped to
@@ -56,26 +58,6 @@ struct ChannelOptions {
   // the Session are then unavailable — the A module owns the application
   // interface.
   std::function<std::unique_ptr<Module>()> a_module_factory;
-};
-
-// An application-held received message: the arena packet itself, plus a
-// shared reference that pins the arena. PacketPtr's deleter keeps only a
-// raw arena pointer, and a reconfiguration may retire the plane (and its
-// arena) while the application still holds the message — the pinned
-// shared_ptr makes the late release safe.
-class ReceivedMessage {
- public:
-  ReceivedMessage() = default;
-  ReceivedMessage(std::shared_ptr<PacketArena> arena, PacketPtr pkt)
-      : arena_(std::move(arena)), pkt_(std::move(pkt)) {}
-
-  std::span<const std::uint8_t> data() const noexcept { return pkt_->Data(); }
-  std::size_t size() const noexcept { return pkt_ ? pkt_->size() : 0; }
-  explicit operator bool() const noexcept { return pkt_ != nullptr; }
-
- private:
-  std::shared_ptr<PacketArena> arena_;
-  PacketPtr pkt_;  // declared after arena_: released first on destruction
 };
 
 // A live Da CaPo connection endpoint. Thread-safe for concurrent Send /
@@ -91,11 +73,11 @@ class Session {
   // Blocks under backpressure from the module graph.
   Status Send(std::span<const std::uint8_t> payload);
 
-  // Zero-copy send seam: allocates an arena packet sized `n` and calls
+  // Zero-copy send seam: allocates a packet sized `n` and calls
   // `fill(span)` to write the payload directly into packet memory — no
-  // staging buffer, no copy. `fill` returns Status; a failure drops the
-  // packet back into the arena and surfaces the status. Blocks like Send
-  // under arena/chain backpressure.
+  // staging buffer, no copy. `fill` returns Status; a failure releases the
+  // packet and surfaces the status. Blocks like Send under budget/chain
+  // backpressure.
   template <typename Fill>
   Status SendWith(std::size_t n, Fill&& fill) {
     if (n > options_.packet_capacity) {
@@ -105,11 +87,11 @@ class Session {
     if (plane_.chain == nullptr || !plane_.chain->started()) {
       return FailedPreconditionError("session has no active data plane");
     }
-    // Arena exhaustion is transient backpressure: wait for packets in
-    // flight to return rather than failing the application call.
+    // Budget exhaustion is transient backpressure: wait for packets in
+    // flight to be released rather than failing the application call.
     const TimePoint deadline = Now() + seconds(10);
     for (;;) {
-      auto pkt = plane_.tx_cache->Allocate();
+      auto pkt = plane_.chain->budget().Allocate(n);
       if (pkt.ok()) {
         auto out = (*pkt)->WritablePayload(n);
         if (!out.ok()) return out.status();
@@ -132,9 +114,9 @@ class Session {
   // chain in bursts of up to the plane's burst size — one mailbox
   // acquisition and one chain walk per burst instead of one per packet.
   // Calls strictly alternate size(0), fill(0), size(1), fill(1), ... so
-  // the callbacks may share a sequential cursor. On arena backpressure the
+  // the callbacks may share a sequential cursor. On budget backpressure the
   // packets cut so far are released into the chain first (they are the
-  // traffic whose completion frees arena slots), then the wait begins.
+  // traffic whose completion credits the budget), then the wait begins.
   template <typename SizeFn, typename Fill>
   Status SendTrainWith(std::size_t count, SizeFn&& size, Fill&& fill) {
     ReaderMutexLock lock(plane_mu_);
@@ -151,7 +133,7 @@ class Session {
         return InvalidArgumentError("message exceeds channel packet capacity");
       }
       for (;;) {
-        auto pkt = plane_.tx_cache->Allocate();
+        auto pkt = plane_.chain->budget().Allocate(n);
         if (pkt.ok()) {
           auto out = (*pkt)->WritablePayload(n);
           if (!out.ok()) return out.status();
@@ -178,20 +160,20 @@ class Session {
     return Status::Ok();
   }
 
-  // Receives one application message (kQueue delivery mode) without
-  // copying it out of the arena. The message pins the plane's arena, so
-  // holding it past a reconfiguration is safe (it does hold one packet of
-  // the retired plane's pool until released).
-  Result<ReceivedMessage> ReceivePacket(Duration timeout);
+  // Receives one application message (kQueue delivery mode) as the packet
+  // itself, without a copy. The packet may outlive its plane (a
+  // reconfiguration can retire it meanwhile): releasing it late returns
+  // its storage to the pool and credits the retired plane's budget.
+  Result<PacketPtr> ReceivePacket(Duration timeout);
 
   // Receives one application message (kQueue delivery mode). Thin copying
   // wrapper over ReceivePacket.
   Result<std::vector<std::uint8_t>> Receive(Duration timeout);
 
-  // Non-blocking receive: a falsy ReceivedMessage when nothing is queued
+  // Non-blocking receive: a null packet when nothing is queued
   // right now (including mid-reconfiguration), kUnavailable once the
   // session is closed. Pair with WatchRx for reactor-driven delivery.
-  Result<ReceivedMessage> TryReceivePacket();
+  Result<PacketPtr> TryReceivePacket();
 
   // Attaches receive readiness to `set` under `token`: signalled on every
   // upward delivery, on close, and across plane swaps (the watch outlives
@@ -201,6 +183,13 @@ class Session {
   // Measurement counters of the local A module.
   AppAModule::Stats stats() const;
   void ResetStats();
+
+  // The live plane's packet budget, for monitoring (weak: a retired
+  // plane's budget lives exactly as long as its last packet).
+  std::weak_ptr<const PacketBudget> packet_budget() const {
+    ReaderMutexLock lock(plane_mu_);
+    return plane_.chain->budget().weak_from_this();
+  }
 
   // Initiator-side re-negotiation: agree on a new module graph with the
   // peer and rebuild the data plane. Traffic must be quiesced by the
@@ -231,11 +220,7 @@ class Session {
   friend class Acceptor;
 
   struct DataPlane {
-    std::shared_ptr<PacketArena> arena;
-    std::unique_ptr<ModuleChain> chain;
-    // Send-side allocation cache (batch refills off the arena free list).
-    // Declared after arena/chain so it flushes before the arena dies.
-    std::unique_ptr<PacketCache> tx_cache;
+    std::unique_ptr<ModuleChain> chain;  // owns the plane's packet budget
     AppAModule* a_module = nullptr;  // owned by chain
     ModuleGraphSpec graph;
   };

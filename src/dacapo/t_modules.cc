@@ -73,7 +73,6 @@ void TStreamModule::ProcessBurst(Direction dir, PacketBatch& batch,
 }
 
 void TStreamModule::RxLoop(ModulePort& port, std::stop_token stop) {
-  PacketCache cache(port.arena());  // this loop is the only rx allocator
   std::vector<PacketPtr> train;
   bool closed = false;
   while (!stop.stop_requested() && !closed) {
@@ -105,15 +104,15 @@ void TStreamModule::RxLoop(ModulePort& port, std::stop_token stop) {
                                 static_cast<std::uint32_t>(prefix[1]) << 8 |
                                 static_cast<std::uint32_t>(prefix[2]) << 16 |
                                 static_cast<std::uint32_t>(prefix[3]) << 24;
-      if (len > port.arena().payload_capacity()) {
+      if (len > port.budget().limit()) {  // could never be received
         COOL_LOG(kError, "dacapo")
             << port.channel_name() << "/t_stream: oversized frame " << len;
         closed = true;
         break;
       }
-      auto pkt = cache.Allocate();
+      auto pkt = port.Allocate(len);
       if (!pkt.ok()) {
-        // Receive buffer exhaustion: drain the frame and drop it, as a NIC
+        // Packet budget exhausted: drain the frame and drop it, as a NIC
         // with no receive descriptors would. Logging backs off
         // exponentially — a saturating sender can drop thousands of frames
         // per second, and a formatted WARN per frame throttles the very
@@ -129,14 +128,14 @@ void TStreamModule::RxLoop(ModulePort& port, std::stop_token stop) {
         if ((n & (n - 1)) == 0) {
           COOL_LOG(kWarn, "dacapo")
               << port.channel_name()
-              << "/t_stream: arena full, frame dropped (" << n << " total)";
+              << "/t_stream: budget full, frame dropped (" << n << " total)";
         }
         continue;
       }
       // Read directly into packet memory (no staging vector).
       PacketPtr p = std::move(pkt).value();
       auto body = p->WritablePayload(len);
-      if (!body.ok()) continue;  // unreachable: len checked against capacity
+      if (!body.ok()) continue;  // unreachable: allocated for len
       if (!socket_->RecvExact(*body).ok()) {
         closed = true;
         break;
@@ -178,7 +177,6 @@ void TDatagramModule::HandleData(Direction dir, PacketPtr pkt,
 }
 
 void TDatagramModule::RxLoop(ModulePort& port, std::stop_token stop) {
-  PacketCache cache(port.arena());
   std::vector<PacketPtr> train;
   while (!stop.stop_requested()) {
     // Block for the first datagram, drain any backlog non-blocking, and
@@ -187,13 +185,13 @@ void TDatagramModule::RxLoop(ModulePort& port, std::stop_token stop) {
     if (!dgram.has_value()) break;  // port closed
     train.clear();
     for (;;) {
-      auto pkt = cache.Make(dgram->payload);
+      auto pkt = port.Make(dgram->payload);
       if (!pkt.ok()) {
         const std::uint64_t n =
             rx_drops_.fetch_add(1, std::memory_order_relaxed) + 1;
         if ((n & (n - 1)) == 0) {
           COOL_LOG(kWarn, "dacapo")
-              << port.channel_name() << "/t_datagram: arena full, drop ("
+              << port.channel_name() << "/t_datagram: budget full, drop ("
               << n << " total)";
         }
       } else {

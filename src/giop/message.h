@@ -183,7 +183,7 @@ void PatchMessageSize(ByteBuffer& frame, std::size_t tail_size);
 
 // --- in-place assembly ------------------------------------------------------
 // Building blocks for assembling a message directly into externally-owned
-// memory (e.g. a Da CaPo arena packet) instead of a full-message staging
+// memory (e.g. a Da CaPo packet) instead of a full-message staging
 // buffer: the fixed header with message_size already filled in, and the
 // Reply's CDR header body encoded at base offset kHeaderSize (trailing
 // 8-alignment included) so the result body splices in behind it unchanged.

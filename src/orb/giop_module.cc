@@ -6,7 +6,7 @@ namespace cool::orb {
 
 void GiopServerAModule::SendMessage(const ByteBuffer& msg,
                                     dacapo::ModulePort& port) {
-  auto pkt = port.arena().Make(msg.view());
+  auto pkt = port.Make(msg.view());
   if (!pkt.ok()) {
     COOL_LOG(kWarn, "orb") << "giop_a: reply dropped, " << pkt.status();
     return;
@@ -23,7 +23,7 @@ void GiopServerAModule::SendReply(giop::Version version,
       version, giop::MsgType::kReply,
       static_cast<corba::ULong>(hdr_body.size() + body.size()),
       options_.order);
-  auto pkt = port.arena().Allocate();
+  auto pkt = port.Allocate(head.size() + hdr_body.size() + body.size());
   if (!pkt.ok()) {
     COOL_LOG(kWarn, "orb") << "giop_a: reply dropped, " << pkt.status();
     return;

@@ -54,8 +54,9 @@ class GiopServerAModule : public dacapo::Module {
 
  private:
   void SendMessage(const ByteBuffer& msg, dacapo::ModulePort& port);
-  // Assembles the Reply directly in an arena packet (header + reply-header
-  // CDR + body appended in place) instead of staging a full-message buffer.
+  // Assembles the Reply directly in a packet sized for it (header +
+  // reply-header CDR + body appended in place) instead of staging a
+  // full-message buffer.
   void SendReply(giop::Version version, const giop::ReplyHeader& reply,
                  std::span<const corba::Octet> body,
                  dacapo::ModulePort& port);
@@ -92,11 +93,10 @@ class SessionComChannel : public transport::ComChannel {
     return ByteBuffer(std::move(payload));
   }
   Result<std::optional<ByteBuffer>> TryReceiveMessage() override {
-    Result<dacapo::ReceivedMessage> got = session_->TryReceivePacket();
+    Result<dacapo::PacketPtr> got = session_->TryReceivePacket();
     if (!got.ok()) return got.status();  // kUnavailable once closed+drained
     if (!*got) return std::optional<ByteBuffer>(std::nullopt);
-    return std::optional<ByteBuffer>(ByteBuffer(
-        std::vector<std::uint8_t>(got->data().begin(), got->data().end())));
+    return std::optional<ByteBuffer>(ByteBuffer((*got)->Data()));
   }
   bool RegisterRx(const sim::WaitSet& set, std::uint64_t token) override {
     session_->WatchRx(set, token);

@@ -124,14 +124,14 @@ void StreamSink::Stop() {
 
 void StreamSink::Run(std::stop_token stop) {
   while (!stop.stop_requested()) {
-    // Zero-copy receive: the frame is inspected in arena packet memory and
+    // Zero-copy receive: the frame is inspected in packet memory and
     // released at the end of the iteration; only the counters survive.
     auto frame = session_->ReceivePacket(milliseconds(100));
     if (!frame.ok()) {
       if (frame.status().code() == ErrorCode::kDeadlineExceeded) continue;
       return;  // session closed
     }
-    const auto data = frame->data();
+    const auto data = (*frame)->Data();
     if (data.size() < kFrameHeaderBytes) continue;
     const std::uint32_t seq = static_cast<std::uint32_t>(data[0]) |
                               static_cast<std::uint32_t>(data[1]) << 8 |

@@ -23,7 +23,7 @@ dacapo::ChannelOptions FlowChannelOptions(const FlowSpec& spec,
   options.graph = std::move(graph);
   options.packet_capacity =
       std::max<std::size_t>(spec.frame_bytes + 64, 4 * 1024);
-  options.arena_packets = 256;
+  options.packet_budget_bytes = 256 * options.packet_capacity;
   return options;
 }
 

@@ -105,7 +105,7 @@ Status DacapoComChannel::SendMessageV(
       total == 0 ? 1 : (total + max_payload - 1) / max_payload;
   MutexLock lock(tx_mu_);
   // Cursor over the concatenation of `parts`: fragments are filled straight
-  // into the arena packet, crossing part boundaries as needed — no joined
+  // into the packet, crossing part boundaries as needed — no joined
   // staging vector, no per-fragment staging vector. SendTrainWith calls the
   // callbacks strictly in order, so the cursor advances monotonically.
   std::size_t part_idx = 0;
@@ -148,10 +148,10 @@ Result<ByteBuffer> DacapoComChannel::ReceiveMessage(Duration timeout) {
     if (rx_partial_active_) {
       remaining = std::max<Duration>(remaining, seconds(1));
     }
-    COOL_ASSIGN_OR_RETURN(dacapo::ReceivedMessage fragment,
+    COOL_ASSIGN_OR_RETURN(dacapo::PacketPtr fragment,
                           session_->ReceivePacket(remaining));
     COOL_ASSIGN_OR_RETURN(std::optional<ByteBuffer> done,
-                          ConsumeFragmentLocked(fragment));
+                          ConsumeFragmentLocked(*fragment));
     if (done.has_value()) return std::move(*done);
   }
 }
@@ -159,7 +159,7 @@ Result<ByteBuffer> DacapoComChannel::ReceiveMessage(Duration timeout) {
 Result<std::optional<ByteBuffer>> DacapoComChannel::TryReceiveMessage() {
   MutexLock lock(rx_mu_);
   for (;;) {
-    Result<dacapo::ReceivedMessage> fragment = session_->TryReceivePacket();
+    Result<dacapo::PacketPtr> fragment = session_->TryReceivePacket();
     if (!fragment.ok()) {
       // Closed-and-drained: a half-assembled message can never complete,
       // so surface the close even with a partial buffered.
@@ -167,14 +167,14 @@ Result<std::optional<ByteBuffer>> DacapoComChannel::TryReceiveMessage() {
     }
     if (!*fragment) return std::optional<ByteBuffer>{};  // nothing queued
     COOL_ASSIGN_OR_RETURN(std::optional<ByteBuffer> done,
-                          ConsumeFragmentLocked(*fragment));
+                          ConsumeFragmentLocked(**fragment));
     if (done.has_value()) return done;
   }
 }
 
 Result<std::optional<ByteBuffer>> DacapoComChannel::ConsumeFragmentLocked(
-    const dacapo::ReceivedMessage& fragment) {
-  const auto data = fragment.data();
+    const dacapo::Packet& fragment) {
+  const auto data = fragment.Data();
   if (data.empty()) {
     return Status(ProtocolError("empty Da CaPo fragment"));
   }

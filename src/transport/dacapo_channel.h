@@ -72,7 +72,7 @@ class DacapoComChannel : public ComChannel {
   // Folds one received fragment into the reassembly state; returns the
   // completed message when the fragment was the last one.
   Result<std::optional<ByteBuffer>> ConsumeFragmentLocked(
-      const dacapo::ReceivedMessage& fragment) COOL_REQUIRES(rx_mu_);
+      const dacapo::Packet& fragment) COOL_REQUIRES(rx_mu_);
 
   std::unique_ptr<dacapo::Session> session_;
   dacapo::NetworkEstimate estimate_;

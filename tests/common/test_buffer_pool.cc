@@ -1,7 +1,8 @@
-// BufferPool: the bounded free list behind the allocation-free invocation
-// path. Covers the ownership rules of DESIGN.md "Buffer ownership and
-// lifetimes": leases recycle on destruction and move-assign-over, copies
-// are unpooled, and capacity/free-list caps hold. The concurrent test is a
+// BufferPool: the size-classed free lists behind the allocation-free
+// invocation path and Da CaPo packet storage. Covers the ownership rules
+// of DESIGN.md "Buffer ownership and lifetimes": leases recycle on
+// destruction and move-assign-over, copies are unpooled, and
+// capacity/free-list caps hold. The concurrent test is a
 // TSan target: lease/recycle from many threads against one pool.
 #include "common/buffer_pool.h"
 
@@ -93,6 +94,51 @@ TEST(BufferPoolTest, MoveAssignOverLeaseRecyclesTheOldStorage) {
     EXPECT_EQ(pool.stats().free_buffers, 1u);
   }
   EXPECT_EQ(pool.stats().free_buffers, 2u);
+}
+
+TEST(BufferPoolTest, OutstandingCountsLeasesNotYetReturned) {
+  BufferPool pool;
+  ByteBuffer a = pool.Lease();
+  {
+    ByteBuffer b = pool.LeaseSized(100);
+    EXPECT_EQ(pool.stats().outstanding, 2u);
+  }
+  EXPECT_EQ(pool.stats().outstanding, 1u);
+  a = ByteBuffer();  // move-assigning over a lease returns it
+  EXPECT_EQ(pool.stats().outstanding, 0u);
+}
+
+// Fixed-size storage takes only the size class it needs, not Lease()'s
+// capacity floor, and a recycled store serves the next lease of its class.
+TEST(BufferPoolTest, LeaseSizedTakesOnlyItsSizeClass) {
+  BufferPool pool;
+  const std::uint8_t* storage = nullptr;
+  {
+    ByteBuffer b = pool.LeaseSized(300);
+    ASSERT_EQ(b.size(), 300u);
+    EXPECT_EQ(b.data()[299], 0);
+    storage = b.data();
+  }
+  ByteBuffer again = pool.LeaseSized(400);  // same 512-octet class
+  EXPECT_EQ(again.data(), storage);
+  ByteBuffer big = pool.Lease();  // floor: initial_reserve, another class
+  EXPECT_NE(big.data(), storage);
+}
+
+// Default()'s per-thread front hands a dying thread's stores back to the
+// shared lists: nothing leased on the thread stays stranded with it.
+TEST(BufferPoolTest, DefaultFrontFlushesWhenItsThreadExits) {
+  BufferPool& pool = BufferPool::Default();
+  const BufferPool::Stats before = pool.stats();
+  Thread worker([&pool] {
+    std::vector<ByteBuffer> held;
+    for (int i = 0; i < 3; ++i) held.push_back(pool.LeaseSized(300));
+  });
+  worker.join();
+  const BufferPool::Stats after = pool.stats();
+  EXPECT_EQ(after.outstanding, before.outstanding);
+  EXPECT_EQ(after.free_buffers,
+            before.free_buffers + (after.misses - before.misses));
 }
 
 // TSan target: concurrent lease/append/recycle against one pool.

@@ -19,7 +19,7 @@ namespace {
 // so the tests can assert "this train crossed in ONE hop".
 class RecordPort : public ModulePort {
  public:
-  explicit RecordPort(PacketArena& arena) : arena_(arena) {}
+  explicit RecordPort(PacketBudget& budget) : budget_(budget) {}
 
   void ForwardUp(PacketPtr pkt) override { up.push_back(std::move(pkt)); }
   void ForwardDown(PacketPtr pkt) override { down.push_back(std::move(pkt)); }
@@ -37,7 +37,7 @@ class RecordPort : public ModulePort {
   void ControlDown(ControlMsg msg) override {
     control.push_back(std::move(msg));
   }
-  PacketArena& arena() override { return arena_; }
+  PacketBudget& budget() override { return budget_; }
   std::string_view channel_name() const override { return "test"; }
 
   std::vector<PacketPtr> up;
@@ -47,17 +47,23 @@ class RecordPort : public ModulePort {
   int down_batch_calls = 0;
 
  private:
-  PacketArena& arena_;
+  PacketBudget& budget_;
 };
 
-PacketPtr Make(PacketArena& arena, std::initializer_list<std::uint8_t> b) {
-  auto p = arena.Make(std::vector<std::uint8_t>(b));
+// Room for `packets` packets of up to 256 octets.
+std::shared_ptr<PacketBudget> TestBudget(std::size_t packets) {
+  return std::make_shared<PacketBudget>(
+      packets * (Packet::kHeadroom + 256 + Packet::kTailroom));
+}
+
+PacketPtr Make(PacketBudget& budget, std::initializer_list<std::uint8_t> b) {
+  auto p = budget.Make(std::vector<std::uint8_t>(b));
   EXPECT_TRUE(p.ok());
   return std::move(p).value();
 }
 
-PacketPtr MakeSized(PacketArena& arena, std::size_t n, std::uint8_t fill) {
-  auto p = arena.Make(std::vector<std::uint8_t>(n, fill));
+PacketPtr MakeSized(PacketBudget& budget, std::size_t n, std::uint8_t fill) {
+  auto p = budget.Make(std::vector<std::uint8_t>(n, fill));
   EXPECT_TRUE(p.ok());
   return std::move(p).value();
 }
@@ -77,9 +83,9 @@ std::uint32_t GetU32Le(const std::uint8_t* in) {
 }
 
 // Builds a packet carrying the ARQ wire image [type:1][seq:4] + payload.
-PacketPtr MakeArq(PacketArena& arena, std::uint8_t type, std::uint32_t seq,
+PacketPtr MakeArq(PacketBudget& budget, std::uint8_t type, std::uint32_t seq,
                   std::uint8_t payload_byte) {
-  PacketPtr p = Make(arena, {payload_byte});
+  PacketPtr p = Make(budget, {payload_byte});
   std::uint8_t header[5];
   header[0] = type;
   PutU32Le(header + 1, seq);
@@ -94,13 +100,13 @@ TEST(BurstTest, DefaultShimTruncatesWhenModuleNotReady) {
   // packet, so a down-train must truncate after the first slot: the
   // leftover stays in the batch, FIFO order intact, for the engine to
   // stall.
-  PacketArena arena(16, 256);
-  RecordPort port(arena);
+  auto budget = TestBudget(16);
+  RecordPort port(*budget);
   IrqModule irq;
 
   PacketBatch batch;
   for (std::uint8_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(batch.PushBack(Make(arena, {i})));
+    ASSERT_TRUE(batch.PushBack(Make(*budget, {i})));
   }
   irq.ProcessBurst(Direction::kDown, batch, port);
 
@@ -113,15 +119,15 @@ TEST(BurstTest, DefaultShimTruncatesWhenModuleNotReady) {
 }
 
 TEST(BurstTest, GoBackNDownBurstTruncatesAtWindow) {
-  PacketArena arena(64, 256);
-  RecordPort port(arena);
+  auto budget = TestBudget(64);
+  RecordPort port(*budget);
   GoBackNModule::Options opts;
   opts.window = 8;
   GoBackNModule gbn(opts);
 
   PacketBatch batch;
   for (std::uint8_t i = 0; i < 12; ++i) {
-    ASSERT_TRUE(batch.PushBack(Make(arena, {i})));
+    ASSERT_TRUE(batch.PushBack(Make(*budget, {i})));
   }
   gbn.ProcessBurst(Direction::kDown, batch, port);
 
@@ -142,14 +148,14 @@ TEST(BurstTest, GoBackNDownBurstTruncatesAtWindow) {
 }
 
 TEST(BurstTest, GoBackNUpBurstAnswersWithOneCumulativeAck) {
-  PacketArena arena(64, 256);
-  RecordPort port(arena);
+  auto budget = TestBudget(64);
+  RecordPort port(*budget);
   GoBackNModule gbn;
 
   PacketBatch batch;
   for (std::uint32_t seq = 0; seq < 8; ++seq) {
     ASSERT_TRUE(batch.PushBack(
-        MakeArq(arena, /*type=*/0, seq, static_cast<std::uint8_t>(seq))));
+        MakeArq(*budget, /*type=*/0, seq, static_cast<std::uint8_t>(seq))));
   }
   gbn.ProcessBurst(Direction::kUp, batch, port);
 
@@ -167,8 +173,8 @@ TEST(BurstTest, GoBackNUpBurstAnswersWithOneCumulativeAck) {
 }
 
 TEST(BurstTest, RateLimiterBurstHoldsFirstUnaffordablePacket) {
-  PacketArena arena(16, 256);
-  RecordPort port(arena);
+  auto budget = TestBudget(16);
+  RecordPort port(*budget);
   RateLimiterModule::Options opts;
   opts.rate_bytes_per_sec = 1;  // effectively no refill during the test
   opts.burst_bytes = 160;       // affords two 64-octet packets
@@ -176,7 +182,7 @@ TEST(BurstTest, RateLimiterBurstHoldsFirstUnaffordablePacket) {
 
   PacketBatch batch;
   for (std::uint8_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(batch.PushBack(MakeSized(arena, 64, i)));
+    ASSERT_TRUE(batch.PushBack(MakeSized(*budget, 64, i)));
   }
   limiter.ProcessBurst(Direction::kDown, batch, port);
 
@@ -190,13 +196,13 @@ TEST(BurstTest, RateLimiterBurstHoldsFirstUnaffordablePacket) {
 // --- single-hop train releases ----------------------------------------------
 
 TEST(BurstTest, SequencerDownBurstStampsTrainInOneHop) {
-  PacketArena arena(16, 256);
-  RecordPort port(arena);
+  auto budget = TestBudget(16);
+  RecordPort port(*budget);
   SequencerModule seq;
 
   PacketBatch batch;
   for (std::uint8_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(batch.PushBack(Make(arena, {i})));
+    ASSERT_TRUE(batch.PushBack(Make(*budget, {i})));
   }
   seq.ProcessBurst(Direction::kDown, batch, port);
 
@@ -211,12 +217,12 @@ TEST(BurstTest, SequencerDownBurstStampsTrainInOneHop) {
 }
 
 TEST(BurstTest, SequencerUpBurstReleasesInOrderRunAsOneTrain) {
-  PacketArena arena(16, 256);
-  RecordPort port(arena);
+  auto budget = TestBudget(16);
+  RecordPort port(*budget);
   SequencerModule seq;
 
   auto stamped = [&](std::uint32_t n) {
-    PacketPtr p = Make(arena, {static_cast<std::uint8_t>(n)});
+    PacketPtr p = Make(*budget, {static_cast<std::uint8_t>(n)});
     std::uint8_t header[4];
     PutU32Le(header, n);
     EXPECT_TRUE(p->PushHeader(header).ok());
@@ -261,7 +267,7 @@ class LoopbackBottomModule : public Module {
 TEST(BurstTest, ChainPreservesFifoAcrossInjectedTrains) {
   // 96 distinct payloads injected as trains through a transforming graph:
   // every message must come back, in order, bit-exact.
-  auto arena = std::make_shared<PacketArena>(128, 256);
+  auto budget = TestBudget(128);
   std::vector<std::unique_ptr<Module>> mods;
   auto a = std::make_unique<AppAModule>();
   AppAModule* a_raw = a.get();
@@ -271,7 +277,7 @@ TEST(BurstTest, ChainPreservesFifoAcrossInjectedTrains) {
   mods.push_back(std::make_unique<XorCipherModule>(0xFEEDFACE));
   mods.push_back(std::make_unique<LoopbackBottomModule>());
 
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
 
   constexpr int kMessages = 96;
@@ -279,7 +285,7 @@ TEST(BurstTest, ChainPreservesFifoAcrossInjectedTrains) {
   while (sent < kMessages) {
     std::vector<PacketPtr> train;
     for (int i = 0; i < 32 && sent < kMessages; ++i, ++sent) {
-      auto p = arena->Make(std::vector<std::uint8_t>{
+      auto p = budget->Make(std::vector<std::uint8_t>{
           static_cast<std::uint8_t>(sent), static_cast<std::uint8_t>(sent >> 8),
           0xAB});
       ASSERT_TRUE(p.ok());
@@ -303,7 +309,7 @@ TEST(BurstTest, ChainDeliversStalledTrainTailThroughRateLimiter) {
   // The injected train exceeds the limiter's bucket, so the engine must
   // stall the tail and drain it on ticks — nothing may be lost or
   // reordered across the stall boundary.
-  auto arena = std::make_shared<PacketArena>(128, 256);
+  auto budget = TestBudget(128);
   std::vector<std::unique_ptr<Module>> mods;
   auto a = std::make_unique<AppAModule>();
   AppAModule* a_raw = a.get();
@@ -314,7 +320,7 @@ TEST(BurstTest, ChainDeliversStalledTrainTailThroughRateLimiter) {
   mods.push_back(std::make_unique<RateLimiterModule>(opts));
   mods.push_back(std::make_unique<LoopbackBottomModule>());
 
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
 
   constexpr int kMessages = 64;
@@ -322,7 +328,7 @@ TEST(BurstTest, ChainDeliversStalledTrainTailThroughRateLimiter) {
   while (sent < kMessages) {
     std::vector<PacketPtr> train;
     for (int i = 0; i < 32 && sent < kMessages; ++i, ++sent) {
-      auto p = arena->Make(
+      auto p = budget->Make(
           std::vector<std::uint8_t>(32, static_cast<std::uint8_t>(sent)));
       ASSERT_TRUE(p.ok());
       train.push_back(std::move(p).value());
@@ -343,7 +349,7 @@ TEST(BurstTest, FragmentTrainLargerThanOneBurstReassembles) {
   // than PacketBatch::kCapacity, forcing the fragmenter to emit multiple
   // bursts for one message — reassembly must still produce the exact
   // original.
-  auto arena = std::make_shared<PacketArena>(128, 256);
+  auto budget = TestBudget(128);
   std::vector<std::unique_ptr<Module>> mods;
   auto a = std::make_unique<AppAModule>();
   AppAModule* a_raw = a.get();
@@ -351,14 +357,14 @@ TEST(BurstTest, FragmentTrainLargerThanOneBurstReassembles) {
   mods.push_back(std::make_unique<FragmentModule>(8));
   mods.push_back(std::make_unique<LoopbackBottomModule>());
 
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
 
   std::vector<std::uint8_t> message(250);
   for (std::size_t i = 0; i < message.size(); ++i) {
     message[i] = static_cast<std::uint8_t>(i * 7 + 1);
   }
-  auto p = arena->Make(message);
+  auto p = budget->Make(message);
   ASSERT_TRUE(p.ok());
   ASSERT_TRUE(chain.InjectDown(std::move(p).value()));
 

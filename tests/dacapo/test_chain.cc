@@ -40,32 +40,32 @@ class SinkBottomModule : public Module {
   BlockingQueue<std::vector<std::uint8_t>>* out_;
 };
 
-std::shared_ptr<PacketArena> MakeArena() {
-  return std::make_shared<PacketArena>(64, 256);
+std::shared_ptr<PacketBudget> MakeBudget() {
+  return std::make_shared<PacketBudget>(1 << 20);
 }
 
-PacketPtr Make(PacketArena& arena, std::initializer_list<std::uint8_t> b) {
-  auto p = arena.Make(std::vector<std::uint8_t>(b));
+PacketPtr Make(PacketBudget& budget, std::initializer_list<std::uint8_t> b) {
+  auto p = budget.Make(std::vector<std::uint8_t>(b));
   EXPECT_TRUE(p.ok());
   return std::move(p).value();
 }
 
 TEST(ModuleChainTest, EmptyChainRefusesToStart) {
-  ModuleChain chain("t", {}, MakeArena());
+  ModuleChain chain("t", {}, MakeBudget());
   EXPECT_EQ(chain.Start().code(), ErrorCode::kFailedPrecondition);
 }
 
 TEST(ModuleChainTest, DoubleStartFails) {
   std::vector<std::unique_ptr<Module>> mods;
   mods.push_back(std::make_unique<DummyModule>());
-  ModuleChain chain("t", std::move(mods), MakeArena());
+  ModuleChain chain("t", std::move(mods), MakeBudget());
   ASSERT_TRUE(chain.Start().ok());
   EXPECT_EQ(chain.Start().code(), ErrorCode::kFailedPrecondition);
   chain.Stop();
 }
 
 TEST(ModuleChainTest, DownTraffigTraversesAllModules) {
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   BlockingQueue<std::vector<std::uint8_t>> sink;
   std::vector<std::unique_ptr<Module>> mods;
   auto a = std::make_unique<AppAModule>();
@@ -74,9 +74,9 @@ TEST(ModuleChainTest, DownTraffigTraversesAllModules) {
   for (int i = 0; i < 5; ++i) mods.push_back(std::make_unique<DummyModule>());
   mods.push_back(std::make_unique<SinkBottomModule>(&sink));
 
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
-  ASSERT_TRUE(chain.InjectDown(Make(*arena, {1, 2, 3})));
+  ASSERT_TRUE(chain.InjectDown(Make(*budget, {1, 2, 3})));
 
   auto got = sink.PopFor(seconds(2));
   ASSERT_TRUE(got.has_value());
@@ -86,16 +86,16 @@ TEST(ModuleChainTest, DownTraffigTraversesAllModules) {
 }
 
 TEST(ModuleChainTest, UpTrafficReachesAModule) {
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   std::vector<std::unique_ptr<Module>> mods;
   auto a = std::make_unique<AppAModule>();
   AppAModule* a_raw = a.get();
   mods.push_back(std::move(a));
   mods.push_back(std::make_unique<DummyModule>());
 
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
-  chain.InjectUp(Make(*arena, {5, 6}));
+  chain.InjectUp(Make(*budget, {5, 6}));
 
   auto msg = a_raw->Receive(seconds(2));
   ASSERT_TRUE(msg.ok());
@@ -106,7 +106,7 @@ TEST(ModuleChainTest, UpTrafficReachesAModule) {
 TEST(ModuleChainTest, ChecksumPairAcrossLoopback) {
   // A -> crc32 -> loopback-bottom: the same module verifies what it
   // generated (exercises real threaded hand-off both directions).
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   std::vector<std::unique_ptr<Module>> mods;
   auto a = std::make_unique<AppAModule>();
   AppAModule* a_raw = a.get();
@@ -115,9 +115,9 @@ TEST(ModuleChainTest, ChecksumPairAcrossLoopback) {
       std::make_unique<ChecksumModule>(ChecksumModule::Algorithm::kCrc32));
   mods.push_back(std::make_unique<LoopbackBottomModule>());
 
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
-  ASSERT_TRUE(chain.InjectDown(Make(*arena, {'a', 'b'})));
+  ASSERT_TRUE(chain.InjectDown(Make(*budget, {'a', 'b'})));
   auto msg = a_raw->Receive(seconds(2));
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(*msg, (std::vector<std::uint8_t>{'a', 'b'}));
@@ -125,10 +125,10 @@ TEST(ModuleChainTest, ChecksumPairAcrossLoopback) {
 }
 
 TEST(ModuleChainTest, ControlErrorReachesSink) {
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   std::vector<std::unique_ptr<Module>> mods;
   mods.push_back(std::make_unique<DummyModule>());
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
 
   BlockingQueue<ControlMsg> control;
   chain.SetControlSink([&](ControlMsg msg) { control.Push(std::move(msg)); });
@@ -146,10 +146,10 @@ TEST(ModuleChainTest, ControlErrorReachesSink) {
 }
 
 TEST(ModuleChainTest, UpSinkReceivesPastTopModule) {
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   std::vector<std::unique_ptr<Module>> mods;
   mods.push_back(std::make_unique<DummyModule>());  // top forwards up
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
 
   BlockingQueue<std::vector<std::uint8_t>> sink;
   chain.SetUpSink([&](PacketPtr pkt) {
@@ -157,7 +157,7 @@ TEST(ModuleChainTest, UpSinkReceivesPastTopModule) {
     sink.Push(std::vector<std::uint8_t>(data.begin(), data.end()));
   });
   ASSERT_TRUE(chain.Start().ok());
-  chain.InjectUp(Make(*arena, {0xEE}));
+  chain.InjectUp(Make(*budget, {0xEE}));
   auto got = sink.PopFor(seconds(2));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ((*got)[0], 0xEE);
@@ -165,18 +165,20 @@ TEST(ModuleChainTest, UpSinkReceivesPastTopModule) {
 }
 
 TEST(ModuleChainTest, StopIsIdempotentAndInjectFailsAfter) {
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   std::vector<std::unique_ptr<Module>> mods;
   mods.push_back(std::make_unique<DummyModule>());
-  ModuleChain chain("t", std::move(mods), arena);
+  ModuleChain chain("t", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
   chain.Stop();
   chain.Stop();
-  EXPECT_FALSE(chain.InjectDown(Make(*arena, {1})));
+  EXPECT_FALSE(chain.InjectDown(Make(*budget, {1})));
 }
 
 TEST(ModuleChainTest, ManyPacketsThroughDeepChainInOrder) {
-  auto arena = std::make_shared<PacketArena>(256, 64);
+  // Room for 256 two-octet packets: the producer meets backpressure.
+  auto budget = std::make_shared<PacketBudget>(
+      256 * (Packet::kHeadroom + 2 + Packet::kTailroom));
   BlockingQueue<std::vector<std::uint8_t>> sink;
   std::vector<std::unique_ptr<Module>> mods;
   mods.push_back(std::make_unique<AppAModule>());
@@ -184,17 +186,17 @@ TEST(ModuleChainTest, ManyPacketsThroughDeepChainInOrder) {
     mods.push_back(std::make_unique<DummyModule>());
   }
   mods.push_back(std::make_unique<SinkBottomModule>(&sink));
-  ModuleChain chain("deep", std::move(mods), arena);
+  ModuleChain chain("deep", std::move(mods), budget);
   ASSERT_TRUE(chain.Start().ok());
 
   constexpr int kCount = 200;
   cool::Thread producer([&] {
     for (int i = 0; i < kCount; ++i) {
-      auto p = arena->Make(std::vector<std::uint8_t>{
+      auto p = budget->Make(std::vector<std::uint8_t>{
           static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
-      while (!p.ok()) {  // arena backpressure
+      while (!p.ok()) {  // budget backpressure
         std::this_thread::sleep_for(microseconds(100));
-        p = arena->Make(std::vector<std::uint8_t>{
+        p = budget->Make(std::vector<std::uint8_t>{
             static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(i >> 8)});
       }
       ASSERT_TRUE(chain.InjectDown(std::move(p).value()));
@@ -212,13 +214,13 @@ TEST(ModuleChainTest, ManyPacketsThroughDeepChainInOrder) {
 }
 
 TEST(ModuleChainTest, DestructorStopsCleanly) {
-  auto arena = MakeArena();
+  auto budget = MakeBudget();
   std::vector<std::unique_ptr<Module>> mods;
   mods.push_back(std::make_unique<AppAModule>());
   mods.push_back(std::make_unique<DummyModule>());
-  auto chain = std::make_unique<ModuleChain>("t", std::move(mods), arena);
+  auto chain = std::make_unique<ModuleChain>("t", std::move(mods), budget);
   ASSERT_TRUE(chain->Start().ok());
-  chain->InjectUp(Make(*arena, {1}));
+  chain->InjectUp(Make(*budget, {1}));
   chain.reset();  // must join all threads without hanging
   SUCCEED();
 }

@@ -9,15 +9,16 @@
 namespace cool::dacapo {
 namespace {
 
-PacketPtr MakePacket(PacketArena& arena, std::uint8_t tag) {
-  auto p = arena.Make(std::vector<std::uint8_t>{tag});
+PacketPtr MakePacket(PacketBudget& budget, std::uint8_t tag) {
+  auto p = budget.Make(std::vector<std::uint8_t>{tag});
   EXPECT_TRUE(p.ok());
   return std::move(p).value();
 }
 
 class MailboxTest : public ::testing::Test {
  protected:
-  PacketArena arena_{32, 64};
+  std::shared_ptr<PacketBudget> budget_ =
+      std::make_shared<PacketBudget>(1 << 20);
 };
 
 TEST_F(MailboxTest, TimeoutWhenEmpty) {
@@ -28,8 +29,8 @@ TEST_F(MailboxTest, TimeoutWhenEmpty) {
 
 TEST_F(MailboxTest, ControlBeatsData) {
   Mailbox mb;
-  mb.PushUp(MakePacket(arena_, 1));
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 2)));
+  mb.PushUp(MakePacket(*budget_, 1));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 2)));
   ControlMsg msg;
   msg.kind = ControlMsg::Kind::kError;
   msg.text = "x";
@@ -43,8 +44,8 @@ TEST_F(MailboxTest, ControlBeatsData) {
 
 TEST_F(MailboxTest, UpBeatsDown) {
   Mailbox mb;
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 2)));
-  mb.PushUp(MakePacket(arena_, 1));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 2)));
+  mb.PushUp(MakePacket(*budget_, 1));
 
   auto r1 = mb.PopNext(true, milliseconds(10));
   ASSERT_EQ(r1.kind, Mailbox::PopResult::Kind::kData);
@@ -58,12 +59,12 @@ TEST_F(MailboxTest, UpBeatsDown) {
 
 TEST_F(MailboxTest, DownGatedByAcceptFlag) {
   Mailbox mb;
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 1)));
   // accept_down = false: the down packet is invisible.
   auto r = mb.PopNext(false, milliseconds(20));
   EXPECT_EQ(r.kind, Mailbox::PopResult::Kind::kTimeout);
   // ...but up traffic still flows.
-  mb.PushUp(MakePacket(arena_, 2));
+  mb.PushUp(MakePacket(*budget_, 2));
   r = mb.PopNext(false, milliseconds(20));
   ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
   EXPECT_EQ(r.data.dir, Direction::kUp);
@@ -75,13 +76,13 @@ TEST_F(MailboxTest, DownGatedByAcceptFlag) {
 
 TEST_F(MailboxTest, BoundedDownBlocksAndBackpressures) {
   Mailbox mb(/*down_capacity=*/2);
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 2)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 1)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 2)));
   EXPECT_EQ(mb.down_size(), 2u);
 
   std::atomic<bool> third_pushed{false};
   cool::Thread pusher([&] {
-    ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 3)));
+    ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 3)));
     third_pushed = true;
   });
   std::this_thread::sleep_for(milliseconds(30));
@@ -95,9 +96,9 @@ TEST_F(MailboxTest, BoundedDownBlocksAndBackpressures) {
 
 TEST_F(MailboxTest, CloseWakesBlockedPusher) {
   Mailbox mb(1);
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 1)));
   cool::Thread pusher([&] {
-    EXPECT_FALSE(mb.PushDown(MakePacket(arena_, 2)));
+    EXPECT_FALSE(mb.PushDown(MakePacket(*budget_, 2)));
   });
   std::this_thread::sleep_for(milliseconds(20));
   mb.Close();
@@ -106,28 +107,28 @@ TEST_F(MailboxTest, CloseWakesBlockedPusher) {
 
 TEST_F(MailboxTest, CloseReportsClosedAndDropsQueued) {
   Mailbox mb;
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 1)));
   mb.Close();
   EXPECT_EQ(mb.PopNext(true, milliseconds(10)).kind,
             Mailbox::PopResult::Kind::kClosed);
-  // Dropped packets returned to the arena.
-  EXPECT_EQ(arena_.in_flight(), 0u);
+  // Dropped packets credited the budget.
+  EXPECT_EQ(budget_->in_flight(), 0u);
 }
 
 TEST_F(MailboxTest, PushAfterCloseIsNoOp) {
   Mailbox mb;
   mb.Close();
-  EXPECT_FALSE(mb.PushDown(MakePacket(arena_, 1)));
-  mb.PushUp(MakePacket(arena_, 2));        // silently dropped
+  EXPECT_FALSE(mb.PushDown(MakePacket(*budget_, 1)));
+  mb.PushUp(MakePacket(*budget_, 2));        // silently dropped
   mb.PushControl(Direction::kUp, ControlMsg{});
   EXPECT_EQ(mb.PopNext(true, milliseconds(5)).kind,
             Mailbox::PopResult::Kind::kClosed);
-  EXPECT_EQ(arena_.in_flight(), 0u);
+  EXPECT_EQ(budget_->in_flight(), 0u);
 }
 
 TEST_F(MailboxTest, FifoWithinEachQueue) {
   Mailbox mb;
-  for (std::uint8_t i = 0; i < 5; ++i) mb.PushUp(MakePacket(arena_, i));
+  for (std::uint8_t i = 0; i < 5; ++i) mb.PushUp(MakePacket(*budget_, i));
   for (std::uint8_t i = 0; i < 5; ++i) {
     auto r = mb.PopNext(true, milliseconds(5));
     ASSERT_EQ(r.kind, Mailbox::PopResult::Kind::kData);
@@ -143,7 +144,7 @@ TEST_F(MailboxTest, WakesSleepingPopper) {
     EXPECT_EQ(r.data.pkt->Data()[0], 42);
   });
   std::this_thread::sleep_for(milliseconds(20));
-  mb.PushUp(MakePacket(arena_, 42));
+  mb.PushUp(MakePacket(*budget_, 42));
   popper.join();
 }
 

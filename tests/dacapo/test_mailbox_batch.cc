@@ -15,8 +15,8 @@
 namespace cool::dacapo {
 namespace {
 
-PacketPtr MakePacket(PacketArena& arena, std::uint8_t tag) {
-  auto p = arena.Make(std::vector<std::uint8_t>{tag});
+PacketPtr MakePacket(PacketBudget& budget, std::uint8_t tag) {
+  auto p = budget.Make(std::vector<std::uint8_t>{tag});
   EXPECT_TRUE(p.ok());
   return std::move(p).value();
 }
@@ -30,7 +30,8 @@ ControlMsg MakeControl(std::string text) {
 
 class MailboxBatchTest : public ::testing::Test {
  protected:
-  PacketArena arena_{256, 64};
+  std::shared_ptr<PacketBudget> budget_ =
+      std::make_shared<PacketBudget>(1 << 20);
 };
 
 TEST_F(MailboxBatchTest, EmptyTimesOut) {
@@ -43,7 +44,7 @@ TEST_F(MailboxBatchTest, EmptyTimesOut) {
 
 TEST_F(MailboxBatchTest, ZeroMaxIsImmediateTimeout) {
   Mailbox mb;
-  mb.PushUp(MakePacket(arena_, 1));
+  mb.PushUp(MakePacket(*budget_, 1));
   std::vector<Mailbox::PopResult> out;
   EXPECT_EQ(mb.PopBatch(true, 0, seconds(10), out),
             Mailbox::BatchStatus::kTimeout);
@@ -52,8 +53,8 @@ TEST_F(MailboxBatchTest, ZeroMaxIsImmediateTimeout) {
 
 TEST_F(MailboxBatchTest, PriorityControlThenUpThenDown) {
   Mailbox mb;
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 30)));
-  mb.PushUp(MakePacket(arena_, 20));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 30)));
+  mb.PushUp(MakePacket(*budget_, 20));
   mb.PushControl(Direction::kUp, MakeControl("c"));
 
   std::vector<Mailbox::PopResult> out;
@@ -73,12 +74,12 @@ TEST_F(MailboxBatchTest, PriorityControlThenUpThenDown) {
 TEST_F(MailboxBatchTest, FifoWithinEachClass) {
   Mailbox mb;
   std::vector<PacketPtr> ups;
-  for (std::uint8_t i = 0; i < 5; ++i) ups.push_back(MakePacket(arena_, i));
+  for (std::uint8_t i = 0; i < 5; ++i) ups.push_back(MakePacket(*budget_, i));
   mb.PushUpBatch(ups);
   EXPECT_TRUE(ups.empty());
   std::vector<PacketPtr> downs;
   for (std::uint8_t i = 10; i < 15; ++i) {
-    downs.push_back(MakePacket(arena_, i));
+    downs.push_back(MakePacket(*budget_, i));
   }
   ASSERT_TRUE(mb.PushDownBatch(downs));
   EXPECT_TRUE(downs.empty());
@@ -100,7 +101,7 @@ TEST_F(MailboxBatchTest, FifoWithinEachClass) {
 TEST_F(MailboxBatchTest, MaxNTruncatesAndKeepsRemainder) {
   Mailbox mb;
   std::vector<PacketPtr> ups;
-  for (std::uint8_t i = 0; i < 6; ++i) ups.push_back(MakePacket(arena_, i));
+  for (std::uint8_t i = 0; i < 6; ++i) ups.push_back(MakePacket(*budget_, i));
   mb.PushUpBatch(ups);
 
   std::vector<Mailbox::PopResult> out;
@@ -116,8 +117,8 @@ TEST_F(MailboxBatchTest, MaxNTruncatesAndKeepsRemainder) {
 
 TEST_F(MailboxBatchTest, DownGatedByAcceptFlag) {
   Mailbox mb;
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
-  mb.PushUp(MakePacket(arena_, 2));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 1)));
+  mb.PushUp(MakePacket(*budget_, 2));
 
   std::vector<Mailbox::PopResult> out;
   ASSERT_EQ(mb.PopBatch(false, 8, milliseconds(20), out),
@@ -135,14 +136,14 @@ TEST_F(MailboxBatchTest, DownGatedByAcceptFlag) {
 // per drained down-item, not one per batch.
 TEST_F(MailboxBatchTest, BatchDrainReleasesAllBlockedProducers) {
   Mailbox mb(/*down_capacity=*/2);
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 0)));
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 1)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 0)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 1)));
 
   std::atomic<int> delivered{0};
   std::vector<Thread> producers;
   for (int i = 0; i < 2; ++i) {
     producers.emplace_back([this, &mb, &delivered, i](std::stop_token) {
-      ASSERT_TRUE(mb.PushDown(MakePacket(arena_, static_cast<std::uint8_t>(2 + i))));
+      ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, static_cast<std::uint8_t>(2 + i))));
       delivered.fetch_add(1);
     });
   }
@@ -161,7 +162,7 @@ TEST_F(MailboxBatchTest, BatchDrainReleasesAllBlockedProducers) {
 
 TEST_F(MailboxBatchTest, CloseDrainsThenReportsClosed) {
   Mailbox mb;
-  mb.PushUp(MakePacket(arena_, 1));
+  mb.PushUp(MakePacket(*budget_, 1));
   mb.Close();  // queued items are dropped by Close
   std::vector<Mailbox::PopResult> out;
   EXPECT_EQ(mb.PopBatch(true, 8, milliseconds(20), out),
@@ -183,32 +184,32 @@ TEST_F(MailboxBatchTest, CloseWhileBatchedPopBlocks) {
 
 TEST_F(MailboxBatchTest, CloseWhilePushDownBatchBlocked) {
   Mailbox mb(/*down_capacity=*/1);
-  ASSERT_TRUE(mb.PushDown(MakePacket(arena_, 0)));
+  ASSERT_TRUE(mb.PushDown(MakePacket(*budget_, 0)));
   Thread closer([&mb](std::stop_token) {
     PreciseSleep(milliseconds(30));
     mb.Close();
   });
   std::vector<PacketPtr> batch;
-  batch.push_back(MakePacket(arena_, 1));
-  batch.push_back(MakePacket(arena_, 2));
+  batch.push_back(MakePacket(*budget_, 1));
+  batch.push_back(MakePacket(*budget_, 2));
   EXPECT_FALSE(mb.PushDownBatch(batch));  // woke up into the closed mailbox
   EXPECT_TRUE(batch.empty());
   closer.join();
-  EXPECT_EQ(arena_.in_flight(), 0u);  // every packet returned to the arena
+  EXPECT_EQ(budget_->in_flight(), 0u);  // every packet credited back
 }
 
 TEST_F(MailboxBatchTest, PushBatchesOnClosedMailboxDropPackets) {
   Mailbox mb;
   mb.Close();
   std::vector<PacketPtr> ups;
-  ups.push_back(MakePacket(arena_, 1));
+  ups.push_back(MakePacket(*budget_, 1));
   mb.PushUpBatch(ups);
   EXPECT_TRUE(ups.empty());
   std::vector<PacketPtr> downs;
-  downs.push_back(MakePacket(arena_, 2));
+  downs.push_back(MakePacket(*budget_, 2));
   EXPECT_FALSE(mb.PushDownBatch(downs));
   EXPECT_TRUE(downs.empty());
-  EXPECT_EQ(arena_.in_flight(), 0u);
+  EXPECT_EQ(budget_->in_flight(), 0u);
 }
 
 // Stress: batched producers in both directions against one batched
@@ -218,21 +219,23 @@ TEST_F(MailboxBatchTest, StressBatchedProducersBatchedConsumer) {
   constexpr int kPerProducer = 400;
   constexpr int kProducers = 2;  // one up, one down
   // The up queue is unbounded, so in the worst case every up packet is in
-  // flight at once; size the arena for that plus the bounded down window.
-  PacketArena arena(kPerProducer * kProducers + 32, 64);
+  // flight at once; size the budget for that plus the bounded down window.
+  auto budget = std::make_shared<PacketBudget>(
+      (kPerProducer * kProducers + 32) *
+      (Packet::kHeadroom + 1 + Packet::kTailroom));
   Mailbox mb(/*down_capacity=*/8);
 
-  Thread up_producer([&arena, &mb](std::stop_token) {
+  Thread up_producer([&budget, &mb](std::stop_token) {
     std::vector<PacketPtr> batch;
     for (int i = 0; i < kPerProducer; ++i) {
-      batch.push_back(MakePacket(arena, static_cast<std::uint8_t>(i)));
+      batch.push_back(MakePacket(*budget, static_cast<std::uint8_t>(i)));
       if (batch.size() == 7 || i + 1 == kPerProducer) mb.PushUpBatch(batch);
     }
   });
-  Thread down_producer([&arena, &mb](std::stop_token) {
+  Thread down_producer([&budget, &mb](std::stop_token) {
     std::vector<PacketPtr> batch;
     for (int i = 0; i < kPerProducer; ++i) {
-      batch.push_back(MakePacket(arena, static_cast<std::uint8_t>(i)));
+      batch.push_back(MakePacket(*budget, static_cast<std::uint8_t>(i)));
       if (batch.size() == 5 || i + 1 == kPerProducer) {
         ASSERT_TRUE(mb.PushDownBatch(batch));
       }
@@ -263,40 +266,26 @@ TEST_F(MailboxBatchTest, StressBatchedProducersBatchedConsumer) {
   }
   up_producer.join();
   down_producer.join();
-  out.clear();  // release the last batch back to the arena
+  out.clear();  // release the last batch
   EXPECT_EQ(got_up, kPerProducer);
   EXPECT_EQ(got_down, kPerProducer);
-  EXPECT_EQ(arena.in_flight(), 0u);
+  EXPECT_EQ(budget->in_flight(), 0u);
 }
 
-// PacketCache allocations interleaved with direct arena traffic: the cache
-// must hand out valid packets and flush its remainder back on destruction.
-TEST_F(MailboxBatchTest, PacketCacheRefillsAndFlushes) {
-  {
-    PacketCache cache(arena_, /*batch_size=*/8);
-    std::vector<PacketPtr> held;
-    for (int i = 0; i < 20; ++i) {
-      auto p = cache.Allocate();
-      ASSERT_TRUE(p.ok());
-      held.push_back(std::move(p).value());
-    }
-    // 20 live + up to 4 cached free packets are away from the arena.
-    EXPECT_GE(arena_.in_flight(), 20u);
-    held.clear();
-  }
-  EXPECT_EQ(arena_.in_flight(), 0u);  // destruction flushed the cache
-}
-
-TEST_F(MailboxBatchTest, PacketCacheExhaustionSurfacesAsResourceExhausted) {
-  PacketArena tiny(2, 64);
-  PacketCache cache(tiny, /*batch_size=*/8);
-  auto a = cache.Allocate();
-  auto b = cache.Allocate();
+// A spent budget refuses further packets with kResourceExhausted, and a
+// release makes room again.
+TEST_F(MailboxBatchTest, BudgetExhaustionSurfacesAsResourceExhausted) {
+  auto tiny = std::make_shared<PacketBudget>(
+      2 * (Packet::kHeadroom + 64 + Packet::kTailroom));
+  auto a = tiny->Allocate(64);
+  auto b = tiny->Allocate(64);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  auto c = cache.Allocate();
+  auto c = tiny->Allocate(64);
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), ErrorCode::kResourceExhausted);
+  a->reset();
+  EXPECT_TRUE(tiny->Allocate(64).ok());
 }
 
 }  // namespace

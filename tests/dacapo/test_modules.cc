@@ -13,7 +13,7 @@ namespace {
 
 class FakePort : public ModulePort {
  public:
-  explicit FakePort(PacketArena* arena) : arena_(arena) {}
+  explicit FakePort(PacketBudget* budget) : budget_(budget) {}
 
   void ForwardUp(PacketPtr pkt) override { up.push_back(std::move(pkt)); }
   void ForwardDown(PacketPtr pkt) override { down.push_back(std::move(pkt)); }
@@ -23,7 +23,7 @@ class FakePort : public ModulePort {
   void ControlDown(ControlMsg msg) override {
     control_down.push_back(std::move(msg));
   }
-  PacketArena& arena() override { return *arena_; }
+  PacketBudget& budget() override { return *budget_; }
   std::string_view channel_name() const override { return "test"; }
 
   PacketPtr TakeDown() {
@@ -45,19 +45,20 @@ class FakePort : public ModulePort {
   std::vector<ControlMsg> control_down;
 
  private:
-  PacketArena* arena_;
+  PacketBudget* budget_;
 };
 
 class ModuleTestBase : public ::testing::Test {
  protected:
   PacketPtr Make(std::initializer_list<std::uint8_t> bytes) {
-    auto p = arena_.Make(std::vector<std::uint8_t>(bytes));
+    auto p = budget_->Make(std::vector<std::uint8_t>(bytes));
     EXPECT_TRUE(p.ok());
     return std::move(p).value();
   }
 
-  PacketArena arena_{64, 256};
-  FakePort port_{&arena_};
+  std::shared_ptr<PacketBudget> budget_ =
+      std::make_shared<PacketBudget>(1 << 20);
+  FakePort port_{budget_.get()};
 };
 
 // --- DummyModule -------------------------------------------------------------
@@ -186,7 +187,7 @@ TEST_F(SequencerModuleTest, DuplicatesDropped) {
   SequencerModule rx;
   tx.HandleData(Direction::kDown, Make({7}), port_);
   PacketPtr wire = port_.TakeDown();
-  auto dup = arena_.Clone(*wire);
+  auto dup = budget_->Clone(*wire);
   ASSERT_TRUE(dup.ok());
   rx.HandleData(Direction::kUp, std::move(wire), port_);
   rx.HandleData(Direction::kUp, std::move(dup).value(), port_);
@@ -243,7 +244,7 @@ TEST_F(IrqModuleTest, DuplicateDataReAckedNotRedelivered) {
   IrqModule receiver;
   sender.HandleData(Direction::kDown, Make({1}), port_);
   PacketPtr wire = port_.TakeDown();
-  auto dup = arena_.Clone(*wire);
+  auto dup = budget_->Clone(*wire);
   ASSERT_TRUE(dup.ok());
 
   receiver.HandleData(Direction::kUp, std::move(wire), port_);
@@ -289,7 +290,7 @@ TEST_F(IrqModuleTest, StaleAckIgnored) {
   receiver.HandleData(Direction::kUp, port_.TakeDown(), port_);
   (void)port_.TakeUp();
   PacketPtr ack0 = port_.TakeDown();
-  auto stale = arena_.Clone(*ack0);
+  auto stale = budget_->Clone(*ack0);
   ASSERT_TRUE(stale.ok());
   sender.HandleData(Direction::kUp, std::move(ack0), port_);
 
@@ -460,7 +461,7 @@ class FragmentModuleTest : public ModuleTestBase {
     for (std::size_t i = 0; i < n; ++i) {
       data[i] = static_cast<std::uint8_t>(i + seed);
     }
-    auto p = arena_.Make(data);
+    auto p = budget_->Make(data);
     EXPECT_TRUE(p.ok());
     return std::move(p).value();
   }
@@ -567,8 +568,8 @@ TEST_F(AppAModuleTest, CountOnlyModeReleasesBuffers) {
   const auto stats = a.snapshot();
   EXPECT_EQ(stats.packets_rx, 2u);
   EXPECT_EQ(stats.bytes_rx, 3u);
-  // Buffers released back to the arena (the paper's measuring A-module).
-  EXPECT_EQ(arena_.in_flight(), 0u);
+  // Buffers released at once (the paper's measuring A-module).
+  EXPECT_EQ(budget_->in_flight(), 0u);
   // Nothing queued for the app.
   EXPECT_EQ(a.Receive(milliseconds(10)).status().code(),
             ErrorCode::kDeadlineExceeded);

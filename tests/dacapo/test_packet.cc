@@ -78,58 +78,66 @@ TEST(PacketTest, TrailerOverflowFails) {
   EXPECT_EQ(p.PushTrailer(Bytes({9})).code(), ErrorCode::kResourceExhausted);
 }
 
+// Bytes one budgeted allocation of `payload` octets is charged.
+constexpr std::size_t Charge(std::size_t payload) {
+  return Packet::kHeadroom + payload + Packet::kTailroom;
+}
+
 TEST(ArenaTest, AllocateUpToCapacity) {
-  PacketArena arena(3, 64);
-  EXPECT_EQ(arena.capacity(), 3u);
-  auto p1 = arena.Allocate();
-  auto p2 = arena.Allocate();
-  auto p3 = arena.Allocate();
+  auto budget = std::make_shared<PacketBudget>(3 * Charge(64));
+  EXPECT_EQ(budget->limit(), 3 * Charge(64));
+  auto p1 = budget->Allocate(64);
+  auto p2 = budget->Allocate(64);
+  auto p3 = budget->Allocate(64);
   ASSERT_TRUE(p1.ok());
   ASSERT_TRUE(p2.ok());
   ASSERT_TRUE(p3.ok());
-  EXPECT_EQ(arena.in_flight(), 3u);
-  EXPECT_EQ(arena.Allocate().status().code(),
+  EXPECT_EQ(budget->in_flight(), 3 * Charge(64));
+  EXPECT_EQ(budget->Allocate(64).status().code(),
+            ErrorCode::kResourceExhausted);
+  // Even an empty packet is charged its head- and tailroom.
+  EXPECT_EQ(budget->Allocate(0).status().code(),
             ErrorCode::kResourceExhausted);
 }
 
 TEST(ArenaTest, ReleaseReturnsToPool) {
-  PacketArena arena(1, 64);
+  auto budget = std::make_shared<PacketBudget>(Charge(64));
   {
-    auto p = arena.Allocate();
+    auto p = budget->Allocate(64);
     ASSERT_TRUE(p.ok());
-    EXPECT_EQ(arena.in_flight(), 1u);
+    EXPECT_EQ(budget->in_flight(), Charge(64));
   }
-  EXPECT_EQ(arena.in_flight(), 0u);
-  EXPECT_TRUE(arena.Allocate().ok());
+  EXPECT_EQ(budget->in_flight(), 0u);
+  EXPECT_TRUE(budget->Allocate(64).ok());
 }
 
 TEST(ArenaTest, ReusedPacketIsReset) {
-  PacketArena arena(1, 64);
+  auto budget = std::make_shared<PacketBudget>(Charge(64));
   {
-    auto p = arena.Allocate();
+    auto p = budget->Allocate(64);
     ASSERT_TRUE(p.ok());
     ASSERT_TRUE((*p)->SetPayload(Bytes({1, 2, 3})).ok());
     ASSERT_TRUE((*p)->PushHeader(Bytes({9})).ok());
   }
-  auto p = arena.Allocate();
+  auto p = budget->Allocate(64);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ((*p)->size(), 0u);
 }
 
 TEST(ArenaTest, MakeCopiesPayload) {
-  PacketArena arena(2, 64);
+  auto budget = std::make_shared<PacketBudget>(2 * Charge(64));
   auto data = Bytes({7, 8});
-  auto p = arena.Make(data);
+  auto p = budget->Make(data);
   ASSERT_TRUE(p.ok());
   data[0] = 0;
   EXPECT_EQ((*p)->Data()[0], 7);
 }
 
 TEST(ArenaTest, CloneIsDeepAndKeepsTimestamp) {
-  PacketArena arena(2, 64);
-  auto p = arena.Make(Bytes({1, 2}));
+  auto budget = std::make_shared<PacketBudget>(2 * Charge(64));
+  auto p = budget->Make(Bytes({1, 2}));
   ASSERT_TRUE(p.ok());
-  auto clone = arena.Clone(**p);
+  auto clone = budget->Clone(**p);
   ASSERT_TRUE(clone.ok());
   EXPECT_EQ((*clone)->created_at(), (*p)->created_at());
   (*p)->Data()[0] = 99;
@@ -138,24 +146,24 @@ TEST(ArenaTest, CloneIsDeepAndKeepsTimestamp) {
 
 TEST(ArenaTest, CloneCopiesHeadersToo) {
   // Clone duplicates the current Data() view — including pushed headers.
-  PacketArena arena(2, 64);
-  auto p = arena.Make(Bytes({1}));
+  auto budget = std::make_shared<PacketBudget>(2 * Charge(64));
+  auto p = budget->Make(Bytes({1}));
   ASSERT_TRUE(p.ok());
   ASSERT_TRUE((*p)->PushHeader(Bytes({0xEE})).ok());
-  auto clone = arena.Clone(**p);
+  auto clone = budget->Clone(**p);
   ASSERT_TRUE(clone.ok());
   ASSERT_EQ((*clone)->size(), 2u);
   EXPECT_EQ((*clone)->Data()[0], 0xEE);
 }
 
 TEST(ArenaTest, ConcurrentAllocateRelease) {
-  PacketArena arena(16, 64);
+  auto budget = std::make_shared<PacketBudget>(16 * Charge(64));
   std::vector<cool::Thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 1000; ++i) {
-        auto p = arena.Allocate();
+        auto p = budget->Allocate(64);
         if (!p.ok()) {
           ++failures;
           continue;
@@ -165,8 +173,65 @@ TEST(ArenaTest, ConcurrentAllocateRelease) {
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(arena.in_flight(), 0u);
+  EXPECT_EQ(budget->in_flight(), 0u);
   EXPECT_EQ(failures.load(), 0);  // 4 threads, 16 packets: never exhausted
+}
+
+// Packets are sized for what they carry: a small message costs a small
+// charge, so many small packets fit where few full-size ones would.
+TEST(PacketBudgetTest, ChargeFollowsAllocatedSize) {
+  auto budget = std::make_shared<PacketBudget>(4 * Charge(1024));
+  std::vector<PacketPtr> held;
+  for (int i = 0; i < 16; ++i) {
+    auto p = budget->Allocate(16);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ((*p)->capacity(), 16 + Packet::kTailroom);
+    held.push_back(std::move(p).value());
+  }
+  EXPECT_EQ(budget->in_flight(), 16 * Charge(16));
+}
+
+// The payload fills the allocated size exactly; the tailroom takes the
+// trailers a checksum module appends behind a full payload.
+TEST(PacketBudgetTest, TailroomFitsTrailersBehindAFullPayload) {
+  auto budget = std::make_shared<PacketBudget>(Charge(8));
+  auto p = budget->Make(std::vector<std::uint8_t>(8, 1));
+  ASSERT_TRUE(p.ok());
+  EXPECT_TRUE((*p)->PushTrailer(std::vector<std::uint8_t>(4, 2)).ok());
+  EXPECT_EQ((*p)->size(), 12u);
+}
+
+// A packet may outlive every other owner of its budget (the plane that
+// allocated it is gone); releasing it then still credits the budget.
+TEST(PacketBudgetTest, PacketOutlivesItsPlane) {
+  PacketPtr survivor;
+  std::weak_ptr<PacketBudget> watch;
+  {
+    auto budget = std::make_shared<PacketBudget>(Charge(64));
+    watch = budget;
+    auto p = budget->Make(Bytes({4, 2}));
+    ASSERT_TRUE(p.ok());
+    survivor = std::move(p).value();
+  }
+  ASSERT_FALSE(watch.expired());
+  EXPECT_EQ(watch.lock()->in_flight(), Charge(2));
+  EXPECT_EQ(survivor->Data()[1], 2);
+  survivor.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+// Packet storage is a lease on the shared pool, returned on release.
+TEST(PacketBudgetTest, StorageIsLeasedFromTheSharedPool) {
+  const std::uint64_t before = BufferPool::Default().stats().outstanding;
+  auto budget = std::make_shared<PacketBudget>(4 * Charge(1024));
+  {
+    auto a = budget->Allocate(1024);
+    auto b = budget->Allocate(100);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(BufferPool::Default().stats().outstanding, before + 2);
+  }
+  EXPECT_EQ(BufferPool::Default().stats().outstanding, before);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Connection management integration: CONFIG handshake, data transfer over
 // stream and datagram transports, NAK paths, reconfiguration, teardown.
+// Every rig ends with a leak audit: once its sessions are closed and gone,
+// no packet storage is still leased and no plane budget is still charged.
 #include "common/thread.h"
 #include "dacapo/session.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <string>
 #include <thread>
 
 namespace cool::dacapo {
@@ -31,6 +35,18 @@ struct Rig {
     EXPECT_TRUE(acceptor.Listen().ok());
   }
 
+  // The sessions a test establishes are declared after its rig, so they
+  // are closed and destroyed by the time this runs.
+  ~Rig() {
+    EXPECT_EQ(BufferPool::Default().stats().outstanding, leases_at_start)
+        << "packet storage still leased after teardown";
+    for (const auto& weak : budgets) {
+      const auto budget = weak.lock();
+      EXPECT_EQ(budget == nullptr ? 0 : budget->in_flight(), 0u)
+          << "plane budget still charged after teardown";
+    }
+  }
+
   // Runs Connect and Accept concurrently (both block on the handshake).
   std::pair<std::unique_ptr<Session>, std::unique_ptr<Session>> Establish(
       ChannelOptions options,
@@ -45,12 +61,34 @@ struct Rig {
     EXPECT_TRUE(client_side.ok()) << client_side.status();
     EXPECT_TRUE(server_side.ok()) << server_side.status();
     if (!client_side.ok() || !server_side.ok()) return {};
+    budgets.push_back((*client_side)->packet_budget());
+    budgets.push_back((*server_side)->packet_budget());
     return {std::move(client_side).value(), std::move(server_side).value()};
   }
 
+  const std::uint64_t leases_at_start =
+      BufferPool::Default().stats().outstanding;
+  std::vector<std::weak_ptr<const PacketBudget>> budgets;
   sim::Network net;
   Acceptor acceptor;
 };
+
+// Sanitizers add shadow memory and per-thread state, so they get a looser
+// bound: still far below the 256 MiB the old per-plane pools cost.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr std::int64_t kIdleGrowthBound = std::int64_t{64} << 20;
+#else
+constexpr std::int64_t kIdleGrowthBound = std::int64_t{16} << 20;
+#endif
+
+std::int64_t VmRssBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoll(line.substr(6)) * 1024;
+  }
+  return 0;
+}
 
 std::vector<std::uint8_t> Msg(std::string_view s) {
   return {s.begin(), s.end()};
@@ -72,6 +110,27 @@ TEST(SessionTest, EmptyGraphOverStreamDelivers) {
   auto back = client->Receive(seconds(2));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, Msg("yo"));
+}
+
+// Packet memory is leased on demand: an established plane holds only the
+// packets it carries. (Preallocated per-plane packet memory costs 32 MiB a
+// plane, 256 MiB for these 8.)
+TEST(SessionTest, IdlePlanesHoldNoPacketMemory) {
+  Rig rig;
+  const std::int64_t before = VmRssBytes();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<Session>> sessions;
+  for (int i = 0; i < 4; ++i) {
+    auto [client, server] = rig.Establish(ChannelOptions{});
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->Send(Msg("ping")).ok());
+    ASSERT_TRUE(server->Receive(seconds(2)).ok());
+    sessions.push_back(std::move(client));
+    sessions.push_back(std::move(server));
+  }
+  const std::int64_t grown = VmRssBytes() - before;
+  EXPECT_LT(grown, kIdleGrowthBound) << "4 sessions grew RSS by "
+                                     << (grown >> 20) << " MiB";
 }
 
 TEST(SessionTest, FullGraphOverStream) {
