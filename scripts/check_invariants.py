@@ -657,24 +657,21 @@ def check_burst_data_path(path: Path, clean: str,
             )
 
 
-# --- rule 14: all dispatch/egress work enters through the scheduler ----------
-# The hierarchical QoS scheduler (common/qos_sched.h, DESIGN.md §13) is
-# only fair if every job and every egress ticket passes through its
-# accounting: DispatchPool::Submit and EgressScheduler::Acquire. A stray
-# TrafficClassTree on the data path, or a raw tree Enqueue outside the
-# owning implementations, bypasses WFQ/DRR/CoDel and silently reintroduces
-# first-grabbed-lock-wins.
+# --- rule 14: all dispatch work enters through the scheduler -----------------
+# The band scheduler (common/qos_sched.h, DESIGN.md §13) is only fair if
+# every job passes through its accounting, and it has one mount:
+# DispatchPool::Submit. A stray BandScheduler on the data path, or a raw
+# scheduler Enqueue outside the owning implementation, bypasses WFQ/DRR/
+# CoDel and silently reintroduces first-grabbed-lock-wins.
 
 SCHED_OWNER_FILES = {
     "src/common/qos_sched.h",
     "src/giop/dispatch_pool.h",
     "src/giop/dispatch_pool.cc",
-    "src/transport/qos_egress.h",
-    "src/transport/qos_egress.cc",
 }
 
 SCHED_BYPASS_RE = re.compile(
-    r"\bTrafficClassTree\s*<|\btree_\s*\.\s*Enqueue\s*\("
+    r"\bBandScheduler\s*<|\bsched_\s*\.\s*Enqueue\s*\("
 )
 
 
@@ -686,10 +683,9 @@ def check_scheduler_owns_queues(path: Path, clean: str,
     for lineno, line in enumerate(clean.splitlines(), 1):
         if SCHED_BYPASS_RE.search(line):
             findings.append(
-                f"{r}:{lineno}: dispatch/egress queue access outside the "
-                f"scheduler — route the work through DispatchPool::Submit / "
-                f"EgressScheduler::Acquire so WFQ/DRR/CoDel see it "
-                f"(rule 14, DESIGN.md §13)"
+                f"{r}:{lineno}: dispatch queue access outside the scheduler "
+                f"— route the work through DispatchPool::Submit so "
+                f"WFQ/DRR/CoDel see it (rule 14, DESIGN.md §13)"
             )
 
 

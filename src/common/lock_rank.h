@@ -52,7 +52,8 @@ enum class LockRank : int {
   // and the reactor/epoll bookkeeping locks.
   kChannel = 50,
 
-  // giop::DispatchPool queues and each GiopServer's cancel bookkeeping.
+  // giop::DispatchPool's band scheduler and runner table, and each
+  // GiopServer's cancel bookkeeping.
   kDispatchPool = 60,
 
   // GIOP engine state: client demux table and send serialization, server

@@ -1,36 +1,40 @@
-// Hierarchical QoS scheduler: a traffic-class tree in the BESS/Linux-qdisc
-// mold, shared by the GIOP dispatch pool (jobs) and the Da CaPo egress
-// path (packet trains).
+// The QoS scheduler of server dispatch: three fixed bands in the RT-CORBA
+// priority-lane mold, mounted once, in giop::DispatchPool.
 //
-//   * Inner nodes arbitrate among their children by weighted fair queueing
-//     (stride scheduling over a virtual-time "pass" per child) and/or a
-//     token-bucket rate limit per node.
-//   * Leaf classes hold per-binding FIFO flows served by deficit round
-//     robin among siblings, so one binding's burst cannot reorder or
-//     starve its neighbours inside a class.
+//   * The High/Normal/Low bands share service by weighted fair queueing
+//     (stride scheduling over a virtual-time "pass" per band, weights
+//     8/4/1). Simultaneous activations serve High before Normal before
+//     Low, and a band that was idle rejoins at the current virtual time.
+//   * Each band holds per-binding FIFO flows served by deficit round
+//     robin, so one binding's burst cannot reorder or starve its
+//     neighbours inside a band. A flow may carry a token-bucket rate cap.
 //   * Each flow runs CoDel-style AQM (Nichols & Jacobson): when the head
 //     sojourn stays above `target` for a full `interval`, the flow enters
 //     a drop state shedding its own load at an increasing rate until the
 //     standing queue collapses — a flooding tenant pays with its own p99,
 //     not everyone else's.
 //
-// Every item carries its enqueue timestamp; per-class sojourn lands in a
+//       Dequeue --WFQ 8:4:1--> High | Normal | Low
+//                                 each: DRR ring of flows (one per binding)
+//                                       flow = FIFO + token bucket + CoDel
+//
+// Every item carries its enqueue timestamp; per-band sojourn lands in a
 // shared Histogram so percentiles come out of the same representation the
 // benchmarks use.
 //
-// The tree is a passive data structure driven by explicit `now` values:
-// not internally synchronized (wrap it in the owner's mutex — see
-// giop::DispatchPool, transport::EgressScheduler) and fully deterministic
-// under a synthetic clock, which is how the unit tests pin down DRR
-// quantum accounting, WFQ ratios and CoDel entry/exit.
+// The scheduler is a passive data structure driven by explicit `now`
+// values: not internally synchronized (the owner wraps it in its mutex)
+// and fully deterministic under a synthetic clock, which is how the unit
+// tests pin down DRR quantum accounting, WFQ ratios and CoDel entry/exit.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -179,21 +183,27 @@ class CodelState {
   bool dropping_ = false;
 };
 
-// --- tree --------------------------------------------------------------------
+// --- bands -------------------------------------------------------------------
 
-struct ClassOptions {
-  std::string name;
-  // WFQ weight against siblings (>= 1). Ties in virtual time resolve by
-  // creation order, so the first-created sibling wins simultaneous
-  // activations — create classes highest-priority first.
-  std::uint32_t weight = 1;
-  // Token-bucket shape for the whole class subtree; 0 = unshaped.
-  std::uint64_t rate_bytes_per_sec = 0;
-  std::uint64_t burst_bytes = 64 * 1024;
-  // DRR quantum granted per flow per round (scaled by the flow weight).
-  std::uint32_t quantum_bytes = 4096;
-  CodelParams codel;
-};
+// Traffic-class band, highest first.
+enum class Band : int { kHigh = 0, kNormal = 1, kLow = 2 };
+
+inline constexpr std::size_t kBands = 3;
+// WFQ weights of the High/Normal/Low bands. High outweighs Low 8:1 at
+// saturation yet Low keeps 1/13 of the service — an anti-starvation floor
+// a strict-priority scan does not have.
+inline constexpr std::array<std::uint32_t, kBands> kBandWeights{8, 4, 1};
+// DRR quantum granted per flow per round (scaled by the flow weight).
+inline constexpr std::uint32_t kQuantumBytes = 4096;
+
+constexpr std::size_t BandIndex(Band band) {
+  return static_cast<std::size_t>(band);
+}
+
+constexpr std::string_view BandName(Band band) {
+  constexpr std::string_view kNames[kBands] = {"high", "normal", "low"};
+  return kNames[BandIndex(band)];
+}
 
 struct FlowProfile {
   std::uint32_t weight = 1;              // scales the DRR quantum
@@ -209,9 +219,8 @@ struct FlowSnapshot {
   std::size_t queued = 0;
 };
 
-struct ClassSnapshot {
-  std::uint32_t id = 0;
-  std::string name;
+struct BandSnapshot {
+  Band band = Band::kNormal;
   std::uint64_t enqueued = 0;
   std::uint64_t dequeued = 0;
   std::uint64_t dropped = 0;
@@ -224,76 +233,26 @@ struct ClassSnapshot {
   std::vector<FlowSnapshot> flows;
 };
 
-template <typename T>
-class TrafficClassTree {
- public:
-  using ClassId = std::uint32_t;
-  static constexpr ClassId kRoot = 0;
+// --- scheduler ---------------------------------------------------------------
 
+template <typename T>
+class BandScheduler {
+ public:
   struct Served {
     T value;
-    ClassId cls = kRoot;
     std::uint64_t flow = 0;
     std::size_t bytes = 0;
     Duration sojourn{};
   };
 
-  explicit TrafficClassTree(ClassOptions root = {}) {
-    nodes_.push_back(std::make_unique<Node>());
-    nodes_[kRoot]->opts = std::move(root);
-    SanitizeOptions(nodes_[kRoot]->opts);
-    nodes_[kRoot]->bucket.Configure(nodes_[kRoot]->opts.rate_bytes_per_sec,
-                                    nodes_[kRoot]->opts.burst_bytes,
-                                    TimePoint{});
-  }
+  explicit BandScheduler(CodelParams codel = {}) : codel_(codel) {}
 
-  // Adds a traffic class under `parent`. The parent must not already hold
-  // flows (a node arbitrates either classes or flows, never both).
-  ClassId AddClass(ClassId parent, ClassOptions opts) {
-    Node& p = *nodes_[parent];
-    const auto id = static_cast<ClassId>(nodes_.size());
-    nodes_.push_back(std::make_unique<Node>());
-    Node& n = *nodes_[id];
-    n.opts = std::move(opts);
-    SanitizeOptions(n.opts);
-    n.parent = parent;
-    n.bucket.Configure(n.opts.rate_bytes_per_sec, n.opts.burst_bytes,
-                       TimePoint{});
-    p.children.push_back(id);
-    return id;
-  }
-
-  // Live reconfiguration: weight applies at the next arbitration, the
-  // bucket restarts full at `now`, CoDel/quantum apply to the next
-  // dequeue. Queued items stay queued.
-  void SetClassOptions(ClassId cls, ClassOptions opts, TimePoint now) {
-    Node& n = *nodes_[cls];
-    SanitizeOptions(opts);
-    n.opts = std::move(opts);
-    n.bucket.Configure(n.opts.rate_bytes_per_sec, n.opts.burst_bytes, now);
-    for (auto& [id, flow] : n.flows) {
-      (void)id;
-      flow.codel = CodelState{};  // parameters changed: restart the AQM
-    }
-  }
-
-  const ClassOptions& class_options(ClassId cls) const {
-    return nodes_[cls]->opts;
-  }
-
-  void SetFlowProfile(ClassId cls, std::uint64_t flow_id,
-                      const FlowProfile& profile, TimePoint now) {
-    Flow& f = nodes_[cls]->flows[flow_id];
-    f.weight = profile.weight == 0 ? 1 : profile.weight;
-    f.bucket.Configure(profile.rate_bytes_per_sec, profile.burst_bytes, now);
-  }
-
-  // Appends to `cls` (a leaf class) under flow `flow_id`, creating the
-  // flow from `profile` on first sight. `bytes` is the scheduling cost.
-  void Enqueue(ClassId cls, std::uint64_t flow_id, const FlowProfile& profile,
+  // Appends to `band` under flow `flow_id`, creating the flow from
+  // `profile` on first sight. `bytes` is the scheduling cost.
+  void Enqueue(Band band, std::uint64_t flow_id, const FlowProfile& profile,
                T value, std::size_t bytes, TimePoint now) {
-    Node& n = *nodes_[cls];
-    auto [it, inserted] = n.flows.try_emplace(flow_id);
+    BandState& b = bands_[BandIndex(band)];
+    auto [it, inserted] = b.flows.try_emplace(flow_id);
     Flow& f = it->second;
     if (inserted) {
       f.weight = profile.weight == 0 ? 1 : profile.weight;
@@ -301,93 +260,71 @@ class TrafficClassTree {
     }
     f.q.push_back(Item{std::move(value), bytes, now});
     ++f.enqueued;
-    ++n.stats_enqueued;
+    ++b.stats_enqueued;
     if (!f.in_ring) {
-      n.ring.push_back(flow_id);
+      b.ring.push_back(flow_id);
       f.in_ring = true;
       f.fresh = true;
       f.deficit = 0;
     }
-    // Activate the path: a subtree going 0 -> 1 joins the WFQ race at its
-    // parent's current virtual time (no credit for having been idle).
-    ClassId id = cls;
-    for (;;) {
-      Node& node = *nodes_[id];
-      if (node.subtree_items == 0 && id != kRoot) {
-        node.pass = std::max(node.pass, nodes_[node.parent]->vtime);
-      }
-      ++node.subtree_items;
-      if (id == kRoot) break;
-      id = node.parent;
-    }
+    // A band going 0 -> 1 joins the WFQ race at the current virtual time
+    // (no credit for having been idle).
+    if (b.items == 0) b.pass = std::max(b.pass, vtime_);
+    ++b.items;
+    ++queued_;
   }
 
   // Serves the next eligible item. CoDel-shed items (decided at dequeue,
   // per flow) are appended to `dropped` with their values moved out.
-  // nullopt when the tree is empty or everything queued is throttled
+  // nullopt when nothing is queued or everything queued is throttled
   // (`NextReadyTime` then says when to retry). `drain` bypasses shaping
-  // and AQM — the shutdown path empties the tree unconditionally.
+  // and AQM — the shutdown path empties the scheduler unconditionally.
   std::optional<Served> Dequeue(TimePoint now, std::vector<Served>* dropped,
                                 bool drain = false) {
-    if (nodes_[kRoot]->subtree_items == 0) return std::nullopt;
-    // Descend: at each inner node pick the eligible child with the least
-    // virtual time (tie -> creation order).
-    ClassId id = kRoot;
-    if (!Eligible(kRoot, now, drain)) return std::nullopt;
-    path_.clear();
-    path_.push_back(kRoot);
-    while (!nodes_[id]->children.empty()) {
-      ClassId best = kInvalid;
-      std::uint64_t best_pass = std::numeric_limits<std::uint64_t>::max();
-      for (ClassId c : nodes_[id]->children) {
-        if (!Eligible(c, now, drain)) continue;
-        if (nodes_[c]->pass < best_pass) {
-          best_pass = nodes_[c]->pass;
-          best = c;
-        }
+    if (queued_ == 0) return std::nullopt;
+    // The eligible band with the least pass wins; ties go to the higher
+    // band (lower index).
+    std::size_t best = kBands;
+    std::uint64_t best_pass = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t i = 0; i < kBands; ++i) {
+      if (Eligible(bands_[i], now, drain) && bands_[i].pass < best_pass) {
+        best_pass = bands_[i].pass;
+        best = i;
       }
-      if (best == kInvalid) return std::nullopt;  // all children throttled
-      nodes_[id]->vtime = best_pass;
-      id = best;
-      path_.push_back(id);
     }
-    return ServeLeaf(id, now, dropped, drain);
+    if (best == kBands) return std::nullopt;  // every band throttled
+    vtime_ = best_pass;
+    return ServeBand(best, now, dropped, drain);
   }
 
   // Earliest instant a currently-throttled item could become eligible;
   // nullopt when nothing queued is gated on a token bucket (either the
-  // tree is empty or Dequeue would have served something).
+  // scheduler is empty or Dequeue would have served something).
   std::optional<TimePoint> NextReadyTime(TimePoint now) const {
     std::optional<TimePoint> earliest;
-    auto consider = [&earliest](TimePoint t) {
-      if (!earliest || t < *earliest) earliest = t;
-    };
-    for (const auto& node : nodes_) {
-      if (node->subtree_items == 0) continue;
-      if (!node->bucket.Ready()) consider(node->bucket.ReadyAt(now));
-      for (const auto& [id, flow] : node->flows) {
+    for (const BandState& b : bands_) {
+      for (const auto& [id, flow] : b.flows) {
         (void)id;
-        if (!flow.q.empty() && !flow.bucket.Ready()) {
-          consider(flow.bucket.ReadyAt(now));
-        }
+        if (flow.q.empty() || flow.bucket.Ready()) continue;
+        const TimePoint t = flow.bucket.ReadyAt(now);
+        if (!earliest || t < *earliest) earliest = t;
       }
     }
     return earliest;
   }
 
-  // Removes every queued item for which pred(cls, flow_id, value) is true;
+  // Removes every queued item for which pred(flow_id, value) is true;
   // returns how many went. Removed items are neither served nor counted as
   // AQM drops (this is the cancel/teardown path).
   template <typename Pred>
   std::size_t RemoveIf(Pred&& pred) {
     std::size_t removed = 0;
-    for (ClassId id = 0; id < nodes_.size(); ++id) {
-      Node& n = *nodes_[id];
-      for (auto& [flow_id, flow] : n.flows) {
+    for (BandState& b : bands_) {
+      for (auto& [flow_id, flow] : b.flows) {
         for (auto it = flow.q.begin(); it != flow.q.end();) {
-          if (pred(id, flow_id, it->value)) {
+          if (pred(flow_id, it->value)) {
             it = flow.q.erase(it);
-            DeactivateOne(id);
+            DeactivateOne(b);
             ++removed;
           } else {
             ++it;
@@ -400,59 +337,52 @@ class TrafficClassTree {
 
   // Forgets an idle flow's state (ring slot, bucket, counters). A flow
   // with queued items is left alone (RemoveIf them first).
-  void RemoveFlow(ClassId cls, std::uint64_t flow_id) {
-    Node& n = *nodes_[cls];
-    auto it = n.flows.find(flow_id);
-    if (it == n.flows.end() || !it->second.q.empty()) return;
-    for (auto r = n.ring.begin(); r != n.ring.end(); ++r) {
+  void RemoveFlow(Band band, std::uint64_t flow_id) {
+    BandState& b = bands_[BandIndex(band)];
+    auto it = b.flows.find(flow_id);
+    if (it == b.flows.end() || !it->second.q.empty()) return;
+    for (auto r = b.ring.begin(); r != b.ring.end(); ++r) {
       if (*r == flow_id) {
-        n.ring.erase(r);
+        b.ring.erase(r);
         break;
       }
     }
-    n.flows.erase(it);
+    b.flows.erase(it);
   }
 
-  std::size_t queued() const { return nodes_[kRoot]->subtree_items; }
-  std::size_t queued(ClassId cls) const { return nodes_[cls]->subtree_items; }
-  bool empty() const { return queued() == 0; }
+  std::size_t queued() const { return queued_; }
+  bool empty() const { return queued_ == 0; }
 
-  const Histogram& sojourn_histogram(ClassId cls) const {
-    return nodes_[cls]->sojourn_us;
+  const Histogram& sojourn_histogram(Band band) const {
+    return bands_[BandIndex(band)].sojourn_us;
   }
 
-  std::vector<ClassSnapshot> Snapshot() const {
-    std::vector<ClassSnapshot> out;
-    for (ClassId id = 0; id < nodes_.size(); ++id) {
-      const Node& n = *nodes_[id];
-      ClassSnapshot s;
-      s.id = id;
-      s.name = n.opts.name;
-      s.enqueued = n.stats_enqueued;
-      s.dequeued = n.stats_dequeued;
-      s.dropped = n.stats_dropped;
-      s.bytes_dequeued = n.stats_bytes;
-      s.queued = n.subtree_items;
-      s.sojourn_p50_us = n.sojourn_us.Percentile(50);
-      s.sojourn_p99_us = n.sojourn_us.Percentile(99);
-      s.sojourn_p999_us = n.sojourn_us.Percentile(99.9);
-      s.sojourn_max_us = n.sojourn_us.max();
-      for (const auto& [flow_id, flow] : n.flows) {
-        FlowSnapshot fs;
-        fs.id = flow_id;
-        fs.enqueued = flow.enqueued;
-        fs.dequeued = flow.dequeued;
-        fs.dropped = flow.dropped;
-        fs.queued = flow.q.size();
-        s.flows.push_back(fs);
+  // Per-band counters, sojourn percentiles and per-flow rows, in
+  // High, Normal, Low order.
+  std::array<BandSnapshot, kBands> Snapshot() const {
+    std::array<BandSnapshot, kBands> out;
+    for (std::size_t i = 0; i < kBands; ++i) {
+      const BandState& b = bands_[i];
+      BandSnapshot& s = out[i];
+      s.band = static_cast<Band>(i);
+      s.enqueued = b.stats_enqueued;
+      s.dequeued = b.stats_dequeued;
+      s.dropped = b.stats_dropped;
+      s.bytes_dequeued = b.stats_bytes;
+      s.queued = b.items;
+      s.sojourn_p50_us = b.sojourn_us.Percentile(50);
+      s.sojourn_p99_us = b.sojourn_us.Percentile(99);
+      s.sojourn_p999_us = b.sojourn_us.Percentile(99.9);
+      s.sojourn_max_us = b.sojourn_us.max();
+      for (const auto& [flow_id, flow] : b.flows) {
+        s.flows.push_back(FlowSnapshot{flow_id, flow.enqueued, flow.dequeued,
+                                       flow.dropped, flow.q.size()});
       }
-      out.push_back(std::move(s));
     }
     return out;
   }
 
  private:
-  static constexpr ClassId kInvalid = std::numeric_limits<ClassId>::max();
   // Virtual-time scale: pass advances by bytes * kPassScale / weight, so
   // weight ratios up to kPassScale resolve without truncating to zero.
   static constexpr std::uint64_t kPassScale = 256;
@@ -476,20 +406,12 @@ class TrafficClassTree {
     std::uint64_t dropped = 0;
   };
 
-  struct Node {
-    ClassOptions opts;
-    ClassId parent = kRoot;
-    std::vector<ClassId> children;
-    // WFQ state: this node's pass (as a child) and the virtual time of the
-    // last arbitration (as a parent).
-    std::uint64_t pass = 0;
-    std::uint64_t vtime = 0;
-    TokenBucket bucket;
-    std::size_t subtree_items = 0;
-    // DRR across this node's flows (leaf classes only).
+  struct BandState {
+    std::uint64_t pass = 0;  // WFQ virtual finish time
+    std::size_t items = 0;
+    // DRR across the band's flows.
     std::unordered_map<std::uint64_t, Flow> flows;
     std::deque<std::uint64_t> ring;
-    // Class-level stats (leaf classes accumulate; inner nodes stay zero).
     std::uint64_t stats_enqueued = 0;
     std::uint64_t stats_dequeued = 0;
     std::uint64_t stats_dropped = 0;
@@ -497,154 +419,112 @@ class TrafficClassTree {
     Histogram sojourn_us;
   };
 
-  static void SanitizeOptions(ClassOptions& opts) {
-    if (opts.weight == 0) opts.weight = 1;
-    if (opts.quantum_bytes == 0) opts.quantum_bytes = 1;
-  }
-
-  // A node can produce an item right now: something queued beneath it, its
-  // own bucket ready, and (recursively) a servable child or flow.
-  bool Eligible(ClassId id, TimePoint now, bool drain) {
-    Node& n = *nodes_[id];
-    if (n.subtree_items == 0) return false;
-    if (!drain) {
-      n.bucket.Refill(now);
-      if (!n.bucket.Ready()) return false;
-    }
-    if (n.children.empty()) {
-      for (std::uint64_t flow_id : n.ring) {
-        Flow& f = n.flows[flow_id];
-        if (f.q.empty()) continue;
-        if (drain) return true;
-        f.bucket.Refill(now);
-        if (f.bucket.Ready()) return true;
-      }
-      return false;
-    }
-    for (ClassId c : n.children) {
-      if (Eligible(c, now, drain)) return true;
+  // The band can produce an item right now: some non-empty flow whose
+  // bucket is ready (refilled on the way).
+  static bool Eligible(BandState& b, TimePoint now, bool drain) {
+    if (b.items == 0) return false;
+    for (std::uint64_t flow_id : b.ring) {
+      Flow& f = b.flows[flow_id];
+      if (f.q.empty()) continue;
+      if (drain) return true;
+      f.bucket.Refill(now);
+      if (f.bucket.Ready()) return true;
     }
     return false;
   }
 
-  // Classic DRR over the leaf's active ring. The caller established (via
+  // Classic DRR over the band's active ring. The caller established (via
   // Eligible) that some flow is servable, so the loop terminates: every
   // pass either serves, drops, retires an empty flow, or rotates while
   // granting quanta — and deficits grow monotonically until a head fits.
-  std::optional<Served> ServeLeaf(ClassId id, TimePoint now,
+  std::optional<Served> ServeBand(std::size_t index, TimePoint now,
                                   std::vector<Served>* dropped, bool drain) {
-    Node& n = *nodes_[id];
+    BandState& b = bands_[index];
     // Generous hard bound against a pathological quantum/size ratio.
-    std::size_t steps = 64 * (n.ring.size() + 1) + 4096;
-    while (steps-- > 0 && !n.ring.empty()) {
-      const std::uint64_t flow_id = n.ring.front();
-      Flow& f = n.flows[flow_id];
+    std::size_t steps = 64 * (b.ring.size() + 1) + 4096;
+    while (steps-- > 0 && !b.ring.empty()) {
+      const std::uint64_t flow_id = b.ring.front();
+      Flow& f = b.flows[flow_id];
       if (f.q.empty()) {
-        n.ring.pop_front();
-        f.in_ring = false;
-        f.deficit = 0;
-        f.fresh = true;
+        Retire(b, f);
         continue;
       }
       if (!drain) {
         f.bucket.Refill(now);
         if (!f.bucket.Ready()) {  // shaped flow waiting on tokens
-          n.ring.pop_front();
-          n.ring.push_back(flow_id);
+          b.ring.pop_front();
+          b.ring.push_back(flow_id);
           continue;
         }
       }
       // AQM before the deficit check: shedding a stale queue must not wait
       // on scheduler credit.
-      bool dropped_any = false;
-      while (!f.q.empty()) {
+      while (!drain && !f.q.empty()) {
         Item& head = f.q.front();
-        const Duration sojourn =
-            now > head.enqueued_at ? now - head.enqueued_at : Duration{};
-        if (!drain && f.codel.OnDequeue(sojourn, now, n.opts.codel,
-                                        f.q.size() <= 1)) {
-          if (dropped != nullptr) {
-            Served d;
-            d.value = std::move(head.value);
-            d.cls = id;
-            d.flow = flow_id;
-            d.bytes = head.bytes;
-            d.sojourn = sojourn;
-            dropped->push_back(std::move(d));
-          }
-          f.q.pop_front();
-          ++f.dropped;
-          ++n.stats_dropped;
-          DeactivateOne(id);
-          dropped_any = true;
-          continue;
+        const Duration sojourn = SojournOf(head, now);
+        if (!f.codel.OnDequeue(sojourn, now, codel_, f.q.size() <= 1)) break;
+        if (dropped != nullptr) {
+          dropped->push_back(
+              Served{std::move(head.value), flow_id, head.bytes, sojourn});
         }
-        break;
+        f.q.pop_front();
+        ++f.dropped;
+        ++b.stats_dropped;
+        DeactivateOne(b);
       }
       if (f.q.empty()) continue;  // everything shed: retire on next visit
-      (void)dropped_any;
       if (f.fresh) {
-        f.deficit += static_cast<std::int64_t>(n.opts.quantum_bytes) *
+        f.deficit += static_cast<std::int64_t>(kQuantumBytes) *
                      static_cast<std::int64_t>(f.weight);
         f.fresh = false;
       }
       Item& head = f.q.front();
       if (static_cast<std::int64_t>(head.bytes) <= f.deficit) {
-        Served out;
-        out.value = std::move(head.value);
-        out.cls = id;
-        out.flow = flow_id;
-        out.bytes = head.bytes;
-        out.sojourn =
-            now > head.enqueued_at ? now - head.enqueued_at : Duration{};
+        Served out{std::move(head.value), flow_id, head.bytes,
+                   SojournOf(head, now)};
         f.deficit -= static_cast<std::int64_t>(out.bytes);
         f.bucket.Charge(out.bytes);
         f.q.pop_front();  // invalidates `head`
         ++f.dequeued;
-        ++n.stats_dequeued;
-        n.stats_bytes += out.bytes;
-        n.sojourn_us.Add(static_cast<std::uint64_t>(
+        ++b.stats_dequeued;
+        b.stats_bytes += out.bytes;
+        b.sojourn_us.Add(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(out.sojourn)
                 .count()));
-        if (f.q.empty()) {
-          n.ring.pop_front();
-          f.in_ring = false;
-          f.deficit = 0;
-          f.fresh = true;
-        }
-        // Charge the path: WFQ passes for every selected child, bucket
-        // tokens for every node the item flowed through.
-        for (std::size_t i = 0; i < path_.size(); ++i) {
-          Node& pn = *nodes_[path_[i]];
-          pn.bucket.Charge(out.bytes);
-          if (path_[i] != kRoot) {
-            pn.pass += out.bytes * kPassScale / pn.opts.weight;
-          }
-        }
-        DeactivateOne(id);
+        if (f.q.empty()) Retire(b, f);
+        b.pass += out.bytes * kPassScale / kBandWeights[index];
+        DeactivateOne(b);
         return out;
       }
       // Head exceeds the deficit: next round, next quantum.
-      n.ring.pop_front();
-      n.ring.push_back(flow_id);
+      b.ring.pop_front();
+      b.ring.push_back(flow_id);
       f.fresh = true;
     }
     return std::nullopt;
   }
 
-  // One item left the subtree rooted at each ancestor of `cls`.
-  void DeactivateOne(ClassId cls) {
-    ClassId id = cls;
-    for (;;) {
-      Node& node = *nodes_[id];
-      if (node.subtree_items > 0) --node.subtree_items;
-      if (id == kRoot) break;
-      id = node.parent;
-    }
+  static Duration SojournOf(const Item& item, TimePoint now) {
+    return now > item.enqueued_at ? now - item.enqueued_at : Duration{};
   }
 
-  std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<ClassId> path_;  // scratch for Dequeue (no per-call alloc)
+  // Takes the ring's front flow (empty) out of the DRR rotation.
+  static void Retire(BandState& b, Flow& f) {
+    b.ring.pop_front();
+    f.in_ring = false;
+    f.deficit = 0;
+    f.fresh = true;
+  }
+
+  void DeactivateOne(BandState& b) {
+    if (b.items > 0) --b.items;
+    if (queued_ > 0) --queued_;
+  }
+
+  CodelParams codel_;
+  std::array<BandState, kBands> bands_{};
+  std::uint64_t vtime_ = 0;  // pass of the last band served
+  std::size_t queued_ = 0;
 };
 
 }  // namespace cool::sched

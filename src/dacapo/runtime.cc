@@ -8,13 +8,10 @@ namespace cool::dacapo {
 
 ModuleChain::ModuleChain(std::string name,
                          std::vector<std::unique_ptr<Module>> modules,
-                         std::shared_ptr<PacketBudget> budget,
-                         std::size_t burst_size)
+                         std::shared_ptr<PacketBudget> budget)
     : name_(std::move(name)),
       budget_(std::move(budget)),
-      modules_(std::move(modules)),
-      burst_size_(std::clamp<std::size_t>(burst_size, 1,
-                                          PacketBatch::kCapacity)) {
+      modules_(std::move(modules)) {
   ports_.reserve(modules_.size());
   for (std::size_t i = 0; i < modules_.size(); ++i) {
     ports_.push_back(std::make_unique<Port>(this, i));
@@ -22,7 +19,7 @@ ModuleChain::ModuleChain(std::string name,
   stall_.resize(modules_.size());
   last_tick_.resize(modules_.size());
   walking_.assign(modules_.size(), 0);
-  popped_.reserve(burst_size_);
+  popped_.reserve(PacketBatch::kCapacity);
 }
 
 ModuleChain::~ModuleChain() { Stop(); }
@@ -156,12 +153,12 @@ void ModuleChain::Port::ControlDown(ControlMsg msg) {
 
 void ModuleChain::BurstPort::ForwardUp(PacketPtr pkt) {
   up_.push_back(std::move(pkt));
-  if (up_.size() >= chain_->burst_size_) FlushUp();
+  if (up_.size() >= PacketBatch::kCapacity) FlushUp();
 }
 
 void ModuleChain::BurstPort::ForwardDown(PacketPtr pkt) {
   down_.push_back(std::move(pkt));
-  if (down_.size() >= chain_->burst_size_) FlushDown();
+  if (down_.size() >= PacketBatch::kCapacity) FlushDown();
 }
 
 void ModuleChain::BurstPort::ForwardUpBatch(std::vector<PacketPtr>& pkts) {
@@ -253,7 +250,7 @@ void ModuleChain::WalkDown(std::size_t index, std::vector<PacketPtr>& pkts) {
   std::size_t cursor = 0;
   while (cursor < pkts.size() && m.ReadyForDown()) {
     PacketBatch batch;
-    while (cursor < pkts.size() && batch.size() < burst_size_) {
+    while (cursor < pkts.size() && !batch.full()) {
       batch.PushBack(std::move(pkts[cursor++]));
     }
     BurstPort port(this, index);
@@ -284,7 +281,7 @@ void ModuleChain::WalkUp(std::size_t index, std::vector<PacketPtr>& pkts) {
   std::size_t cursor = 0;
   while (cursor < pkts.size()) {
     PacketBatch batch;
-    while (cursor < pkts.size() && batch.size() < burst_size_) {
+    while (cursor < pkts.size() && !batch.full()) {
       batch.PushBack(std::move(pkts[cursor++]));
     }
     BurstPort port(this, index);
@@ -400,8 +397,8 @@ void ModuleChain::PumpWhileWaiting() {
   // is mid-burst on the down path), then re-feed any stalls that opened.
   // Local scratch: the engine's popped_ may be mid-iteration above us.
   std::vector<Mailbox::PopResult> popped;
-  const auto st = mailbox_.PopBatch(/*accept_down=*/false, burst_size_,
-                                    Duration{}, popped);
+  const auto st = mailbox_.PopBatch(/*accept_down=*/false,
+                                    PacketBatch::kCapacity, Duration{}, popped);
   if (st == Mailbox::BatchStatus::kItems) {
     std::vector<PacketPtr> run;
     DispatchPopped(popped, run);
@@ -438,7 +435,8 @@ void ModuleChain::RunEngine(std::stop_token stop) {
     // stalled packets stay FIFO ahead of the mailbox.
     const bool accept_down = StallsEmpty();
     const auto st =
-        mailbox_.PopBatch(accept_down, burst_size_, PopWait(), popped_);
+        mailbox_.PopBatch(accept_down, PacketBatch::kCapacity, PopWait(),
+                          popped_);
     if (st == Mailbox::BatchStatus::kClosed) break;
     if (st == Mailbox::BatchStatus::kItems) {
       DispatchPopped(popped_, run);

@@ -36,8 +36,7 @@ class ModuleChain {
   using ControlSink = std::function<void(ControlMsg)>;
 
   ModuleChain(std::string name, std::vector<std::unique_ptr<Module>> modules,
-              std::shared_ptr<PacketBudget> budget,
-              std::size_t burst_size = PacketBatch::kCapacity);
+              std::shared_ptr<PacketBudget> budget);
   ~ModuleChain();
 
   ModuleChain(const ModuleChain&) = delete;
@@ -76,7 +75,6 @@ class ModuleChain {
   std::size_t size() const noexcept { return modules_.size(); }
   Module& module(std::size_t i) { return *modules_[i]; }
   const std::string& name() const noexcept { return name_; }
-  std::size_t burst_size() const noexcept { return burst_size_; }
 
   // Monitoring (paper Fig. 5 management): one "name{counters}" line per
   // module, top to bottom. Reads only atomic module counters.
@@ -168,7 +166,6 @@ class ModuleChain {
   std::shared_ptr<PacketBudget> budget_;
   std::vector<std::unique_ptr<Module>> modules_;
   std::vector<std::unique_ptr<Port>> ports_;
-  const std::size_t burst_size_;
   Mailbox mailbox_;
 
   // Engine-thread state: per-module stash of down-packets the module was

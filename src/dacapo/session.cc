@@ -213,8 +213,7 @@ Result<Session::DataPlane> Session::BuildPlane(
 
   plane.chain = std::make_unique<ModuleChain>(
       "dacapo", std::move(modules),
-      std::make_shared<PacketBudget>(options.packet_budget_bytes),
-      options.burst_size);
+      std::make_shared<PacketBudget>(options.packet_budget_bytes));
   plane.a_module = a_raw;
   if (owner != nullptr) {
     if (a_raw != nullptr) {

@@ -47,10 +47,6 @@ struct ChannelOptions {
   // idle plane holds none); what ResourceManager::Admit reserves.
   std::size_t packet_budget_bytes = 32 << 20;
   std::size_t packet_capacity = 64 * 1024;
-  // Packet-train size of the data plane's burst engine: how many packets
-  // the engine walks through the chain per mailbox round-trip (clamped to
-  // [1, PacketBatch::kCapacity]). 1 degenerates to per-packet processing.
-  std::size_t burst_size = PacketBatch::kCapacity;
 
   // Custom layer-A module (paper Fig. 7 alternative (ii): "message
   // protocols are seen as ordinary Da CaPo modules"). When set, the chain
@@ -111,7 +107,7 @@ class Session {
 
   // Zero-copy *train* send seam: allocates `count` packets, sized by
   // `size(i)` and written by `fill(i, span)`, and injects them into the
-  // chain in bursts of up to the plane's burst size — one mailbox
+  // chain in bursts of up to PacketBatch::kCapacity — one mailbox
   // acquisition and one chain walk per burst instead of one per packet.
   // Calls strictly alternate size(0), fill(0), size(1), fill(1), ... so
   // the callbacks may share a sequential cursor. On budget backpressure the
@@ -123,7 +119,7 @@ class Session {
     if (plane_.chain == nullptr || !plane_.chain->started()) {
       return FailedPreconditionError("session has no active data plane");
     }
-    const std::size_t burst = plane_.chain->burst_size();
+    constexpr std::size_t burst = PacketBatch::kCapacity;
     std::vector<PacketPtr> train;
     train.reserve(std::min(count, burst));
     const TimePoint deadline = Now() + seconds(10);

@@ -4,90 +4,20 @@
 
 namespace cool::giop {
 
-DispatchClass ClassifyQoS(
-    const std::vector<qos::QoSParameter>& qos_params) noexcept {
-  // Band projection of the shared classifier; the weight/rate dimensions
-  // only matter once the hierarchical scheduler consumes them.
-  switch (qos::ClassifyForScheduling(qos_params).band) {
-    case qos::SchedProfile::Band::kHigh:
-      return DispatchClass::kHigh;
-    case qos::SchedProfile::Band::kLow:
-      return DispatchClass::kLow;
-    case qos::SchedProfile::Band::kNormal:
-      break;
-  }
-  return DispatchClass::kNormal;
-}
-
-namespace {
-
-qos::SchedProfile ProfileForClass(DispatchClass cls) {
-  qos::SchedProfile profile;
-  switch (cls) {
-    case DispatchClass::kHigh:
-      profile.band = qos::SchedProfile::Band::kHigh;
-      break;
-    case DispatchClass::kLow:
-      profile.band = qos::SchedProfile::Band::kLow;
-      break;
-    case DispatchClass::kNormal:
-      profile.band = qos::SchedProfile::Band::kNormal;
-      break;
-  }
-  return profile;
-}
-
-std::size_t BandIndex(qos::SchedProfile::Band band) {
-  return static_cast<std::size_t>(band);
-}
-
-}  // namespace
-
 std::size_t DefaultWorkerThreads() noexcept {
   return static_cast<std::size_t>(HardwareConcurrency());
 }
 
-std::uint64_t DispatchPool::AllocRunnerId() {
-  static std::atomic<std::uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
+DispatchPool::DispatchPool(std::size_t workers, std::size_t queue_capacity)
+    : DispatchPool(Options{.workers = workers,
+                           .queue_capacity = queue_capacity}) {}
 
-DispatchPool::DispatchPool(std::size_t workers, std::size_t queue_capacity) {
-  options_.workers = workers;
-  options_.queue_capacity = queue_capacity;
-  Start();
-}
-
-DispatchPool::DispatchPool(const Options& options) : options_(options) {
-  Start();
-}
-
-sched::ClassOptions DispatchPool::BandOptions(DispatchClass cls) const {
-  static constexpr const char* kNames[kDispatchClasses] = {"high", "normal",
-                                                           "low"};
-  const auto i = static_cast<std::size_t>(cls);
-  sched::ClassOptions opts;
-  opts.name = kNames[i];
-  opts.weight = options_.class_weights[i];
-  opts.quantum_bytes = options_.quantum_bytes;
-  opts.codel.enabled = options_.codel_enabled;
-  opts.codel.target = options_.codel_target;
-  opts.codel.interval = options_.codel_interval;
-  return opts;
-}
-
-void DispatchPool::Start() {
-  worker_count_ = options_.workers == 0 ? 1 : options_.workers;
-  {
-    MutexLock lock(mu_);
-    // Band order is tie-break order: simultaneous activations at equal
-    // virtual time serve High before Normal before Low, preserving the
-    // strict-priority intuition for newly-queued work.
-    cls_id_[0] = tree_.AddClass(Tree::kRoot, BandOptions(DispatchClass::kHigh));
-    cls_id_[1] =
-        tree_.AddClass(Tree::kRoot, BandOptions(DispatchClass::kNormal));
-    cls_id_[2] = tree_.AddClass(Tree::kRoot, BandOptions(DispatchClass::kLow));
-  }
+DispatchPool::DispatchPool(const Options& options)
+    : worker_count_(options.workers == 0 ? 1 : options.workers),
+      options_(options),
+      sched_(sched::CodelParams{.enabled = options.codel_enabled,
+                                .target = options.codel_target,
+                                .interval = options.codel_interval}) {
   workers_.reserve(worker_count_);
   for (std::size_t i = 0; i < worker_count_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -99,7 +29,7 @@ DispatchPool::~DispatchPool() { Close(); }
 bool DispatchPool::Submit(DispatchRunner* runner, std::uint64_t runner_id,
                           const qos::SchedProfile& profile, DispatchJob job) {
   MutexLock lock(mu_);
-  while (!closed_ && queued_ >= options_.queue_capacity) {
+  while (!closed_ && sched_.queued() >= options_.queue_capacity) {
     // Backpressure: stall the submitting receive path (and with it the
     // connection) until a worker makes room. Blocking here is the design
     // — the submitting reactor callback is the flow-control valve, and
@@ -108,32 +38,23 @@ bool DispatchPool::Submit(DispatchRunner* runner, std::uint64_t runner_id,
     deadlock::ScopedBlockingAllowed allow;
     job_space_.Wait(mu_);
   }
-  if (closed_ || detached_.contains(runner_id)) return false;
-  Entry entry;
-  entry.runner = runner;
-  entry.runner_id = runner_id;
-  entry.job = std::move(job);
-  const std::size_t cost = kJobBaseCost + entry.job.msg.body().size();
+  auto it = runners_.find(runner_id);
+  if (closed_ || it == runners_.end() || it->second.detaching) return false;
+  const std::size_t cost = kJobBaseCost + job.msg.body().size();
   sched::FlowProfile flow;
   flow.weight = profile.weight;
   flow.rate_bytes_per_sec = profile.rate_bytes_per_sec;
-  tree_.Enqueue(cls_id_[BandIndex(profile.band)], runner_id, flow,
-                std::move(entry), cost, Now());
-  ++queued_;
+  sched_.Enqueue(profile.band, runner_id, flow,
+                 Entry{runner, runner_id, std::move(job)}, cost, Now());
   job_ready_.NotifyOne();
   return true;
-}
-
-bool DispatchPool::Submit(DispatchRunner* runner, std::uint64_t runner_id,
-                          DispatchClass cls, DispatchJob job) {
-  return Submit(runner, runner_id, ProfileForClass(cls), std::move(job));
 }
 
 bool DispatchPool::CancelQueued(std::uint64_t runner_id,
                                 corba::ULong request_id) {
   MutexLock lock(mu_);
   bool found = false;
-  tree_.RemoveIf([&](Tree::ClassId, std::uint64_t, const Entry& e) {
+  sched_.RemoveIf([&](std::uint64_t, const Entry& e) {
     if (found || e.runner_id != runner_id ||
         e.job.header.request_id != request_id) {
       return false;
@@ -142,48 +63,37 @@ bool DispatchPool::CancelQueued(std::uint64_t runner_id,
     return true;
   });
   if (!found) return false;
-  --queued_;
   job_space_.NotifyOne();
   return true;
 }
 
+std::uint64_t DispatchPool::AllocRunnerId() {
+  MutexLock lock(mu_);
+  const std::uint64_t id = next_runner_id_++;
+  runners_.emplace(id, RunnerState{});
+  return id;
+}
+
 void DispatchPool::DetachRunner(std::uint64_t runner_id) {
   MutexLock lock(mu_);
-  detached_.insert(runner_id);
-  const std::size_t removed =
-      tree_.RemoveIf([&](Tree::ClassId, std::uint64_t, const Entry& e) {
-        return e.runner_id == runner_id;
-      });
-  for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-    tree_.RemoveFlow(cls_id_[i], runner_id);
+  auto it = runners_.find(runner_id);
+  if (it == runners_.end()) return;
+  if (!it->second.detaching) {
+    it->second.detaching = true;  // refuse the Submits that race the detach
+    const std::size_t removed = sched_.RemoveIf(
+        [&](std::uint64_t flow, const Entry&) { return flow == runner_id; });
+    for (std::size_t b = 0; b < sched::kBands; ++b) {
+      sched_.RemoveFlow(static_cast<sched::Band>(b), runner_id);
+    }
+    for (std::size_t i = 0; i < removed; ++i) job_space_.NotifyOne();
   }
-  for (std::size_t i = 0; i < removed; ++i) {
-    --queued_;
-    job_space_.NotifyOne();
-  }
-  while (running_.contains(runner_id)) {
+  for (;;) {
+    it = runners_.find(runner_id);
+    if (it == runners_.end()) return;  // a concurrent detach finished it
+    if (it->second.running == 0) break;
     runner_idle_.Wait(mu_);
   }
-}
-
-void DispatchPool::SetClassWeight(DispatchClass cls, std::uint32_t weight) {
-  MutexLock lock(mu_);
-  options_.class_weights[static_cast<std::size_t>(cls)] =
-      weight == 0 ? 1 : weight;
-  tree_.SetClassOptions(cls_id_[static_cast<std::size_t>(cls)],
-                        BandOptions(cls), Now());
-}
-
-void DispatchPool::SetCodel(bool enabled, Duration target, Duration interval) {
-  MutexLock lock(mu_);
-  options_.codel_enabled = enabled;
-  options_.codel_target = target;
-  options_.codel_interval = interval;
-  for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-    const auto cls = static_cast<DispatchClass>(i);
-    tree_.SetClassOptions(cls_id_[i], BandOptions(cls), Now());
-  }
-  job_ready_.NotifyOne();
+  runners_.erase(it);
 }
 
 DispatchPool::Next DispatchPool::NextDecision() {
@@ -191,24 +101,25 @@ DispatchPool::Next DispatchPool::NextDecision() {
   for (;;) {
     Next out;
     const TimePoint now = Now();
-    std::vector<Tree::Served> drops;
-    std::optional<Tree::Served> served =
-        tree_.Dequeue(now, &drops, /*drain=*/closed_);
-    for (Tree::Served& d : drops) {
-      ++running_[d.value.runner_id];  // pop+mark atomic: detach barrier
-      --queued_;
+    std::vector<Scheduler::Served> drops;
+    std::optional<Scheduler::Served> served =
+        sched_.Dequeue(now, &drops, /*drain=*/closed_);
+    // Pop+mark is one step under mu_ (the detach barrier depends on it).
+    // Queued jobs belong to attached runners: DetachRunner removes a
+    // runner's jobs before it erases the runner.
+    for (Scheduler::Served& d : drops) {
+      ++runners_.find(d.value.runner_id)->second.running;
       job_space_.NotifyOne();
       out.dropped.push_back(std::move(d.value));
     }
     if (served.has_value()) {
-      ++running_[served->value.runner_id];
-      --queued_;
+      ++runners_.find(served->value.runner_id)->second.running;
       job_space_.NotifyOne();
       out.entry = std::move(served->value);
     }
     if (out.HasWork()) return out;
-    if (closed_ && tree_.empty()) return out;  // closed + drained: exit
-    if (std::optional<TimePoint> ready = tree_.NextReadyTime(now)) {
+    if (closed_ && sched_.empty()) return out;  // closed + drained: exit
+    if (std::optional<TimePoint> ready = sched_.NextReadyTime(now)) {
       // Queued work gated on a token bucket: sleep until the grant.
       job_ready_.WaitUntil(mu_, *ready);
     } else {
@@ -219,9 +130,9 @@ DispatchPool::Next DispatchPool::NextDecision() {
 
 void DispatchPool::DrainRunnerWaiters(std::uint64_t runner_id) {
   MutexLock lock(mu_);
-  auto it = running_.find(runner_id);
-  if (it != running_.end() && --it->second == 0) running_.erase(it);
-  runner_idle_.NotifyAll();
+  if (--runners_.find(runner_id)->second.running == 0) {
+    runner_idle_.NotifyAll();
+  }
 }
 
 void DispatchPool::WorkerLoop() {
@@ -250,37 +161,20 @@ void DispatchPool::WorkerLoop() {
   }
 }
 
-std::array<DispatchClassStats, kDispatchClasses> DispatchPool::StatsSnapshot()
+std::array<sched::BandSnapshot, sched::kBands> DispatchPool::StatsSnapshot()
     const {
-  std::array<DispatchClassStats, kDispatchClasses> out;
   MutexLock lock(mu_);
-  std::vector<sched::ClassSnapshot> snap = tree_.Snapshot();
-  for (std::size_t i = 0; i < kDispatchClasses; ++i) {
-    const sched::ClassSnapshot& cls = snap[cls_id_[i]];
-    out[i].name = cls.name;
-    out[i].queued = cls.queued;
-    out[i].enqueued = cls.enqueued;
-    out[i].dispatched = cls.dequeued;
-    out[i].dropped = cls.dropped;
-    out[i].sojourn_p50_us = cls.sojourn_p50_us;
-    out[i].sojourn_p99_us = cls.sojourn_p99_us;
-    out[i].sojourn_p999_us = cls.sojourn_p999_us;
-    out[i].sojourn_max_us = cls.sojourn_max_us;
-    out[i].bindings = cls.flows;
-  }
-  return out;
+  return sched_.Snapshot();
 }
 
 std::string DispatchPool::DescribeStats() const {
-  const std::array<DispatchClassStats, kDispatchClasses> stats =
-      StatsSnapshot();
   std::ostringstream os;
-  for (const DispatchClassStats& cls : stats) {
-    os << "class " << cls.name << ": queued=" << cls.queued
-       << " enqueued=" << cls.enqueued << " dispatched=" << cls.dispatched
+  for (const sched::BandSnapshot& cls : StatsSnapshot()) {
+    os << "class " << sched::BandName(cls.band) << ": queued=" << cls.queued
+       << " enqueued=" << cls.enqueued << " dispatched=" << cls.dequeued
        << " dropped=" << cls.dropped << " sojourn_us{p50=" << cls.sojourn_p50_us
        << " p99=" << cls.sojourn_p99_us << " p99.9=" << cls.sojourn_p999_us
-       << " max=" << cls.sojourn_max_us << "} bindings=" << cls.bindings.size()
+       << " max=" << cls.sojourn_max_us << "} bindings=" << cls.flows.size()
        << "\n";
   }
   return os.str();

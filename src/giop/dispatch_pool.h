@@ -1,5 +1,5 @@
 // Shared servant-dispatch worker pool. One pool serves every GIOP
-// connection of an ORB: jobs enter a hierarchical traffic-class tree
+// connection of an ORB: jobs enter the ORB's one QoS scheduler
 // (common/qos_sched.h) — WFQ across the three QoS bands, deficit round
 // robin across the bindings inside each band, optional CoDel AQM on the
 // per-binding queues — and run on a fixed set of workers, so ten thousand
@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/mutex.h"
@@ -28,24 +27,6 @@
 #include "qos/classify.h"
 
 namespace cool::giop {
-
-// Dispatch priority classes for the server worker pool, derived from the
-// 9.9 Request's qos_params. Lower value = served first.
-enum class DispatchClass : int {
-  kHigh = 0,    // explicit priority >= 170, or a latency/jitter bound
-  kNormal = 1,  // no QoS, or QoS without scheduling implications
-  kLow = 2,     // explicit priority < 85
-};
-
-inline constexpr std::size_t kDispatchClasses = 3;
-
-// Maps a Request's QoS parameters onto a DispatchClass: an explicit
-// kPriority parameter wins (0..84 low, 85..169 normal, 170..255 high);
-// otherwise a latency or jitter bound marks the request latency-sensitive
-// and promotes it to kHigh. The full classifier (band + weight + rate) is
-// qos::ClassifyForScheduling; this is its band projection.
-DispatchClass ClassifyQoS(
-    const std::vector<qos::QoSParameter>& qos_params) noexcept;
 
 // Default worker-pool size: one upcall thread per hardware thread.
 std::size_t DefaultWorkerThreads() noexcept;
@@ -78,33 +59,11 @@ class DispatchRunner {
   virtual void DropDispatchJob(const DispatchJob& job) { (void)job; }
 };
 
-// Per-class view of the pool's scheduler state (DescribeStats's
-// structured twin; the metrics seed for the adaptive control plane).
-struct DispatchClassStats {
-  std::string name;
-  std::size_t queued = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t dispatched = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t sojourn_p50_us = 0;
-  std::uint64_t sojourn_p99_us = 0;
-  std::uint64_t sojourn_p999_us = 0;
-  std::uint64_t sojourn_max_us = 0;
-  // Per-binding rows.
-  std::vector<sched::FlowSnapshot> bindings;
-};
-
 class DispatchPool {
  public:
   struct Options {
     std::size_t workers = DefaultWorkerThreads();
     std::size_t queue_capacity = 1024;
-    // WFQ weights of the High/Normal/Low bands. High outweighs Low 8:1 at
-    // saturation yet Low keeps 1/13 of the workers — an anti-starvation
-    // floor a strict-priority scan does not have.
-    std::array<std::uint32_t, kDispatchClasses> class_weights{8, 4, 1};
-    // DRR quantum among bindings, in job-cost units (see kJobBaseCost).
-    std::uint32_t quantum_bytes = 4096;
     // CoDel AQM on the per-binding queues. Off by default: shedding a
     // dispatch surfaces as a TRANSIENT system exception at the client,
     // a policy the ORB owner opts into (README, giop knobs).
@@ -125,18 +84,18 @@ class DispatchPool {
   DispatchPool(const DispatchPool&) = delete;
   DispatchPool& operator=(const DispatchPool&) = delete;
 
-  // Process-unique runner id for Submit/CancelQueued/DetachRunner.
-  static std::uint64_t AllocRunnerId();
+  // Attaches a new runner to this pool and returns its id for
+  // Submit/CancelQueued/DetachRunner. The pool keeps state for a runner
+  // only between this call and DetachRunner.
+  std::uint64_t AllocRunnerId();
 
-  // Queues a job under the runner's binding flow; blocks while the queue
-  // is at capacity (connection backpressure). Returns false once the pool
-  // is closed or the runner detached — the job is dropped.
+  // Queues a job under the runner's binding flow, in the band and with
+  // the weight/rate cap of `profile` (qos::ClassifyForScheduling); blocks
+  // while the queue is at capacity (connection backpressure). Returns
+  // false once the pool is closed or the runner detached — the job is
+  // dropped.
   bool Submit(DispatchRunner* runner, std::uint64_t runner_id,
               const qos::SchedProfile& profile, DispatchJob job);
-  // Band-only convenience (tests, QoS-less callers): default weight, no
-  // rate cap.
-  bool Submit(DispatchRunner* runner, std::uint64_t runner_id,
-              DispatchClass cls, DispatchJob job);
 
   // Kills a queued-but-unstarted job of `runner_id`; false when no such
   // job is queued (it may be running already, or not yet submitted).
@@ -144,13 +103,9 @@ class DispatchPool {
 
   // Barrier: drops the runner's queued jobs, refuses new ones, and waits
   // until none of its jobs is mid-upcall. After return the pool holds no
-  // reference to the runner. Must not be called from a pool worker.
+  // reference to, and no state for, the runner. Must not be called from a
+  // pool worker.
   void DetachRunner(std::uint64_t runner_id);
-
-  // Live reconfiguration (the adaptive-control-plane hook): band weight
-  // and AQM parameters apply from the next arbitration; queued jobs stay.
-  void SetClassWeight(DispatchClass cls, std::uint32_t weight);
-  void SetCodel(bool enabled, Duration target, Duration interval);
 
   // Drains queued jobs, joins the workers. Idempotent.
   void Close();
@@ -163,10 +118,11 @@ class DispatchPool {
     return jobs_shed_.load(std::memory_order_relaxed);
   }
 
-  // Per-class counters + sojourn percentiles (High, Normal, Low order).
-  std::array<DispatchClassStats, kDispatchClasses> StatsSnapshot() const;
-  // Human-readable stats line per class, in the DescribeStats idiom of
-  // the Da CaPo modules.
+  // Per-band counters, sojourn percentiles and per-binding rows (High,
+  // Normal, Low order), straight from the scheduler.
+  std::array<sched::BandSnapshot, sched::kBands> StatsSnapshot() const;
+  // Human-readable stats line per band, in the DescribeStats idiom of the
+  // Da CaPo modules.
   std::string DescribeStats() const;
 
  private:
@@ -176,7 +132,16 @@ class DispatchPool {
     DispatchJob job;
   };
 
-  using Tree = sched::TrafficClassTree<Entry>;
+  using Scheduler = sched::BandScheduler<Entry>;
+
+  // A runner attached to the pool: jobs of it currently mid-upcall or
+  // mid-drop (never more than the queue capacity plus the workers), and
+  // whether DetachRunner has begun (refuses new jobs). Kept to 8 bytes:
+  // every open connection holds one.
+  struct RunnerState {
+    std::uint32_t running = 0;
+    bool detaching = false;
+  };
 
   // One scheduler decision: at most one entry to run plus any entries the
   // AQM shed while reaching it. Neither present <=> closed and drained.
@@ -186,14 +151,12 @@ class DispatchPool {
     bool HasWork() const { return entry.has_value() || !dropped.empty(); }
   };
 
-  void Start();
   void WorkerLoop();
   // Pops the next decision and marks every popped runner busy, atomically
   // (the detach barrier depends on pop+mark being one step).
   Next NextDecision();
   // Marks the entry's runner idle again and wakes detach waiters.
   void DrainRunnerWaiters(std::uint64_t runner_id);
-  sched::ClassOptions BandOptions(DispatchClass cls) const;
 
   std::size_t worker_count_ = 0;
   Options options_;
@@ -201,19 +164,16 @@ class DispatchPool {
   std::atomic<std::uint64_t> jobs_shed_{0};
 
   mutable Mutex mu_{LockRank::kDispatchPool, "giop::DispatchPool::mu_"};
-  // Hierarchical scheduler state: root -> {high, normal, low} leaf classes
-  // keyed by cls_id_, flows keyed by runner id (one flow per binding).
-  Tree tree_ COOL_GUARDED_BY(mu_){};
-  std::array<Tree::ClassId, kDispatchClasses> cls_id_ COOL_GUARDED_BY(mu_){};
-  std::size_t queued_ COOL_GUARDED_BY(mu_) = 0;
+  // Three bands, flows keyed by runner id (one flow per binding).
+  Scheduler sched_ COOL_GUARDED_BY(mu_);
   bool closed_ COOL_GUARDED_BY(mu_) = false;
   CondVar job_ready_;
   CondVar job_space_;
   CondVar runner_idle_;
-  // runner id -> number of its jobs currently mid-upcall or mid-drop.
-  std::unordered_map<std::uint64_t, std::size_t> running_
+  // Attached runners, by id (AllocRunnerId to DetachRunner).
+  std::unordered_map<std::uint64_t, RunnerState> runners_
       COOL_GUARDED_BY(mu_);
-  std::unordered_set<std::uint64_t> detached_ COOL_GUARDED_BY(mu_);
+  std::uint64_t next_runner_id_ COOL_GUARDED_BY(mu_) = 1;
   // Started in the constructor, joined only by Close().
   std::vector<Thread> workers_;
 };

@@ -380,7 +380,7 @@ class GiopServer : public DispatchRunner {
   std::atomic<std::uint64_t> requests_shed_{0};
 
   // Identity under the dispatch pool.
-  const std::uint64_t runner_id_ = DispatchPool::AllocRunnerId();
+  const std::uint64_t runner_id_ = pool_.AllocRunnerId();
 
   mutable Mutex pool_mu_{LockRank::kDispatchPool, "giop::GiopServer::pool_mu_"};
   bool pool_closed_ COOL_GUARDED_BY(pool_mu_) = false;

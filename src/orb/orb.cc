@@ -22,9 +22,7 @@ ORB::ORB(sim::Network* net, std::string host, Options options)
       ipc_(net, sim::Address{host_, options_.ipc_port}),
       dacapo_(net, sim::Address{host_, options_.dacapo_port},
               options_.estimate, options_.resources),
-      reactor_(transport::Reactor::Options{
-          .workers = options_.reactor_threads,
-          .pin_workers = options_.pin_reactor_workers}) {}
+      reactor_(options_.reactor_threads) {}
 
 ORB::~ORB() { Shutdown(); }
 
@@ -59,18 +57,10 @@ Status ORB::Start() {
   {
     giop::DispatchPool::Options pool_options;
     pool_options.workers = options_.giop_worker_threads;
-    pool_options.class_weights = options_.dispatch_class_weights;
     pool_options.codel_enabled = options_.codel_enabled;
     pool_options.codel_target = options_.codel_target;
     pool_options.codel_interval = options_.codel_interval;
     dispatch_pool_ = std::make_unique<giop::DispatchPool>(pool_options);
-  }
-  if (options_.qos_egress) {
-    transport::EgressScheduler::Options egress_options;
-    egress_options.codel_enabled = options_.codel_enabled;
-    egress_options.codel_target = options_.codel_target;
-    egress_options.codel_interval = options_.codel_interval;
-    egress_ = std::make_unique<transport::EgressScheduler>(egress_options);
   }
 
   // One immutable server config for every connection this ORB will accept.
@@ -132,7 +122,6 @@ void ORB::Shutdown() {
     conn->server->Close();
   }
   if (dispatch_pool_ != nullptr) dispatch_pool_->Close();
-  if (egress_ != nullptr) egress_->Close();
   running_ = false;
 }
 
@@ -168,10 +157,6 @@ void ORB::AdoptTrain(
   for (auto& channel : channels) {
     auto conn = std::make_shared<Connection>();
     conn->channel = std::move(channel);
-    if (egress_ != nullptr && conn->channel->protocol() == "dacapo") {
-      static_cast<transport::DacapoComChannel*>(conn->channel.get())
-          ->AttachEgress(egress_.get());
-    }
     EmplaceServer(*conn);
     cbs.push_back([this, conn] { DrainConnection(conn); });
     conns.push_back(std::move(conn));
@@ -294,32 +279,14 @@ Result<std::unique_ptr<transport::ComChannel>> ORB::OpenChannel(
       return tcp_.OpenChannel(ref.endpoint, qos);
     case Protocol::kIpc:
       return ipc_.OpenChannel(ref.endpoint, qos);
-    case Protocol::kDacapo: {
-      auto channel = dacapo_.OpenChannel(ref.endpoint, qos);
-      if (channel.ok() && egress_ != nullptr) {
-        // Client-side sends share the link's egress arbitration with the
-        // server-side replies and every other binding of this endsystem.
-        static_cast<transport::DacapoComChannel*>(channel->get())
-            ->AttachEgress(egress_.get());
-      }
-      return channel;
-    }
+    case Protocol::kDacapo:
+      return dacapo_.OpenChannel(ref.endpoint, qos);
   }
   return Status(InternalError("unknown protocol"));
 }
 
 bool ORB::IsLocal(const ObjectRef& ref) const {
   return ref.endpoint.host == host_ && adapter_.Exists(ref.object_key);
-}
-
-std::string ORB::DescribeDispatchStats() const {
-  std::string out;
-  if (dispatch_pool_ != nullptr) out = dispatch_pool_->DescribeStats();
-  if (egress_ != nullptr) {
-    if (!out.empty()) out += "\n";
-    out += egress_->DescribeStats();
-  }
-  return out;
 }
 
 }  // namespace cool::orb

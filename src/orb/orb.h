@@ -26,7 +26,6 @@
 #include "orb/object_ref.h"
 #include "transport/dacapo_channel.h"
 #include "transport/ipc_channel.h"
-#include "transport/qos_egress.h"
 #include "transport/reactor.h"
 #include "transport/tcp_channel.h"
 
@@ -51,29 +50,16 @@ class ORB {
     // Size (>= 1) of the ORB-wide servant dispatch pool shared by every
     // connection, built by Start().
     std::size_t giop_worker_threads = giop::DefaultWorkerThreads();
-    // WFQ weights of the High/Normal/Low dispatch bands.
-    std::array<std::uint32_t, giop::kDispatchClasses> dispatch_class_weights{
-        8, 4, 1};
-    // CoDel AQM on the per-binding dispatch queues (and, with qos_egress,
-    // on the egress tickets). Shed dispatches surface as TRANSIENT at the
-    // client — an explicit policy opt-in.
+    // CoDel AQM on the per-binding dispatch queues. Shed dispatches surface
+    // as TRANSIENT at the client — an explicit policy opt-in.
     bool codel_enabled = false;
     Duration codel_target = milliseconds(5);
     Duration codel_interval = milliseconds(100);
-    // Weighted-fair egress arbitration mounted on every Da CaPo channel
-    // this ORB accepts or opens (off = direct sends, the historical
-    // first-grabbed-lock-wins behaviour). Channels opened for clients
-    // borrow the ORB's scheduler, so the ORB must outlive them.
-    bool qos_egress = false;
     // Reactor worker loops carrying all connection I/O (server reads,
     // accepts, client reply demux); 0 = one per hardware thread. A worker's
     // thread starts with its first registration, and the thread count is
     // flat in the number of connections and bindings.
     unsigned reactor_threads = 0;
-    // BESS-style per-core placement of the reactor workers. Combined with
-    // the fixed connection -> worker mapping this keeps each connection's
-    // state on one cache domain (see transport::Reactor::Options).
-    bool pin_reactor_workers = false;
     // Close accepted connections that carried no inbound traffic for this
     // long (zero = never). Deadlines ride the reactor's lazily-cancelled
     // timer heap, so 100k parked connections cost no scanning — each holds
@@ -127,13 +113,9 @@ class ORB {
   // binding (Stub) of this ORB receives through it. Stubs must therefore
   // not outlive their ORB.
   transport::Reactor& reactor() noexcept { return reactor_; }
+  // The ORB's one QoS scheduler: per-band counters and sojourn
+  // percentiles come from its StatsSnapshot().
   giop::DispatchPool* dispatch_pool() noexcept { return dispatch_pool_.get(); }
-  transport::EgressScheduler* egress_scheduler() noexcept {
-    return egress_.get();
-  }
-  // Per-class dispatch counters + sojourn percentiles, and (when mounted)
-  // the egress scheduler's bands — the ORB-wide QoS observability surface.
-  std::string DescribeDispatchStats() const;
 
  private:
   // One accepted server-side connection, reactor-driven: the channel's
@@ -205,9 +187,7 @@ class ORB {
   // Declared before the connection state: destroyed after it, so a
   // Connection destructor can still detach from the pool, and reactor
   // teardown (which drops registration closures, i.e. Connection refs)
-  // happens while the pool is alive. The egress scheduler likewise
-  // outlives every channel that attached to it.
-  std::unique_ptr<transport::EgressScheduler> egress_;
+  // happens while the pool is alive.
   std::unique_ptr<giop::DispatchPool> dispatch_pool_;
   transport::Reactor reactor_;
   std::vector<std::uint64_t> accept_regs_;

@@ -1,10 +1,8 @@
 // QoSParameter -> scheduling profile: the classification stage of the
-// classify/queue/schedule pipeline. A Request's (or binding's) negotiated
-// QoS vector maps onto a traffic-class band plus a weight/rate profile —
-// the way a switch ASIC maps CoS/DSCP onto local-priority + queue profile
-// — and both scheduler mounts (the GIOP dispatch pool and the Da CaPo
-// egress scheduler) consume the same mapping, so a binding's contract
-// means the same thing on the way in and on the way out.
+// classify/queue/schedule pipeline. A Request's negotiated QoS vector maps
+// onto a traffic-class band plus a weight/rate profile — the way a switch
+// ASIC maps CoS/DSCP onto local-priority + queue profile — which the GIOP
+// dispatch pool's band scheduler (common/qos_sched.h) consumes.
 //
 // The mapping table (see DESIGN.md §13):
 //
@@ -19,19 +17,19 @@
 //   no parameters       -> Normal band, weight 1, unshaped
 //
 // An explicit priority wins the band decision over latency/jitter
-// promotion, mirroring giop::ClassifyQoS which this generalizes.
+// promotion.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/qos_sched.h"
 #include "qos/qos.h"
 
 namespace cool::qos {
 
 struct SchedProfile {
-  // Traffic-class band, highest first; values mirror giop::DispatchClass.
-  enum class Band : int { kHigh = 0, kNormal = 1, kLow = 2 };
+  using Band = sched::Band;
 
   Band band = Band::kNormal;
   // DRR weight among sibling bindings inside the band, 1..8.

@@ -5,7 +5,6 @@
 
 #include "common/deadlock.h"
 #include "common/logging.h"
-#include "qos/classify.h"
 #include "qos/mapping.h"
 
 namespace cool::transport {
@@ -19,45 +18,9 @@ namespace {
 // Fragment header octet: 1 = more fragments of this message follow.
 constexpr std::uint8_t kMoreFragments = 1;
 constexpr std::uint8_t kLastFragment = 0;
-
-// Pairs every granted egress turn with its Release across all of the send
-// paths' returns.
-class EgressGrant {
- public:
-  // Null scheduler = egress not attached; the grant is a no-op that always
-  // admits.
-  EgressGrant(EgressScheduler* egress, std::uint64_t binding,
-              std::size_t bytes)
-      : egress_(egress),
-        admitted_(egress == nullptr || egress->Acquire(binding, bytes)) {}
-  ~EgressGrant() {
-    if (egress_ != nullptr && admitted_) egress_->Release();
-  }
-  EgressGrant(const EgressGrant&) = delete;
-  EgressGrant& operator=(const EgressGrant&) = delete;
-
-  bool admitted() const noexcept { return admitted_; }
-
- private:
-  EgressScheduler* egress_;
-  bool admitted_;
-};
 }  // namespace
 
-void DacapoComChannel::AttachEgress(EgressScheduler* egress) {
-  if (egress != nullptr) {
-    egress->RegisterBinding(
-        egress_id_, qos::ClassifyForScheduling(CurrentQoS().parameters()));
-  }
-  egress_.store(egress, std::memory_order_release);
-}
-
 Status DacapoComChannel::SendMessage(std::span<const std::uint8_t> message) {
-  EgressGrant grant(egress_.load(std::memory_order_acquire), egress_id_,
-                    message.size());
-  if (!grant.admitted()) {
-    return Status(UnavailableError("dacapo egress scheduler shed the send"));
-  }
   // Direct single-span paths rather than delegating to SendMessageV: this
   // is the hottest per-message path (every non-gathered send), and the
   // part-cursor bookkeeping costs a measurable fraction of a small-message
@@ -94,12 +57,6 @@ Status DacapoComChannel::SendMessageV(
   const std::size_t max_payload = session_->packet_capacity() - 1;
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
-
-  EgressGrant grant(egress_.load(std::memory_order_acquire), egress_id_,
-                    total);
-  if (!grant.admitted()) {
-    return Status(UnavailableError("dacapo egress scheduler shed the send"));
-  }
 
   const std::size_t fragments =
       total == 0 ? 1 : (total + max_payload - 1) / max_payload;
@@ -199,15 +156,7 @@ bool DacapoComChannel::RegisterRx(const sim::WaitSet& set,
   return true;
 }
 
-void DacapoComChannel::Close() {
-  // Detach from the egress scheduler first: parked sends of this binding
-  // wake refused instead of waiting on a closing session.
-  if (EgressScheduler* egress =
-          egress_.exchange(nullptr, std::memory_order_acq_rel)) {
-    egress->UnregisterBinding(egress_id_);
-  }
-  session_->Close();
-}
+void DacapoComChannel::Close() { session_->Close(); }
 
 qos::Capability DacapoComChannel::CapabilityFor(
     const dacapo::NetworkEstimate& est) {
@@ -262,12 +211,6 @@ Status DacapoComChannel::SetQoSParameter(const qos::QoSSpec& spec) {
     COOL_RETURN_IF_ERROR(session_->Reconfigure(graph.spec));
     MutexLock lock(qos_mu_);
     current_qos_ = spec;
-  }
-  // The renegotiated contract follows into the egress arbitration: the
-  // binding's band/weight/rate profile tracks the live QoS spec.
-  if (EgressScheduler* egress = egress_.load(std::memory_order_acquire)) {
-    egress->RegisterBinding(egress_id_,
-                            qos::ClassifyForScheduling(spec.parameters()));
   }
   return Status::Ok();
 }

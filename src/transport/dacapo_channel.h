@@ -9,16 +9,18 @@
 // and — when the graph differs from the running one — drives a Da CaPo
 // reconfiguration. If no admissible configuration exists, the error
 // propagates to the client as an exception before any Request is sent.
+//
+// Sends go straight onto the session: every connection paces its own
+// simulated link, so there is no shared link for bindings to arbitrate.
+// A binding's QoS ordering against other bindings is applied where work
+// does contend, at server dispatch (giop::DispatchPool).
 #pragma once
-
-#include <atomic>
 
 #include "common/mutex.h"
 #include "dacapo/config_manager.h"
 #include "dacapo/resource_manager.h"
 #include "dacapo/session.h"
 #include "transport/com_channel.h"
-#include "transport/qos_egress.h"
 
 namespace cool::transport {
 
@@ -59,15 +61,6 @@ class DacapoComChannel : public ComChannel {
   // Capability a Da CaPo transport over `estimate` can promise.
   static qos::Capability CapabilityFor(const dacapo::NetworkEstimate& est);
 
-  // Mounts the host's shared egress scheduler on this channel: every
-  // subsequent SendMessage/SendMessageV waits its weighted-fair turn
-  // before taking the session, so concurrent bindings share the link by
-  // QoS class instead of by lock-acquisition luck. The binding's profile
-  // comes from the channel's current QoS spec and follows renegotiations.
-  // The scheduler must outlive the channel (the ORB owns it).
-  void AttachEgress(EgressScheduler* egress);
-  std::uint64_t egress_binding() const noexcept { return egress_id_; }
-
  private:
   // Folds one received fragment into the reassembly state; returns the
   // completed message when the fragment was the last one.
@@ -76,10 +69,6 @@ class DacapoComChannel : public ComChannel {
 
   std::unique_ptr<dacapo::Session> session_;
   dacapo::NetworkEstimate estimate_;
-  // Optional egress arbitration (null = direct sends). Set once by
-  // AttachEgress before concurrent use; senders load-acquire it.
-  std::atomic<EgressScheduler*> egress_{nullptr};
-  const std::uint64_t egress_id_ = EgressScheduler::AllocBindingId();
   mutable Mutex qos_mu_{LockRank::kChannel, "transport::DacapoComChannel::qos_mu_"};
   qos::QoSSpec current_qos_ COOL_GUARDED_BY(qos_mu_);
   // tx keeps the fragments of one message contiguous on the session.

@@ -1,32 +1,32 @@
-// TrafficClassTree (common/qos_sched.h) under a synthetic clock: the tree
-// is passive and driven by explicit `now` values, so DRR quantum
-// accounting, WFQ weight ratios, token-bucket shaping and CoDel
-// entry/exit are all pinned down deterministically here.
+// BandScheduler (common/qos_sched.h) under a synthetic clock: the
+// scheduler is passive and driven by explicit `now` values, so DRR quantum
+// accounting, WFQ band ratios, token-bucket shaping and CoDel entry/exit
+// are all pinned down deterministically here.
 #include "common/qos_sched.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace cool::sched {
 namespace {
 
-using Tree = TrafficClassTree<int>;
+using Sched = BandScheduler<int>;
 
 constexpr TimePoint kT0 = TimePoint{} + seconds(10);
+constexpr std::size_t kQ = kQuantumBytes;
 
-ClassOptions Leaf(std::string name, std::uint32_t weight = 1,
-                  std::uint32_t quantum = 100) {
-  ClassOptions o;
-  o.name = std::move(name);
-  o.weight = weight;
-  o.quantum_bytes = quantum;
-  return o;
+CodelParams Codel(Duration target, Duration interval) {
+  return CodelParams{.enabled = true, .target = target, .interval = interval};
 }
 
 // Dequeues one item, asserting nothing was AQM-dropped on the way.
-int MustDequeue(Tree& tree, TimePoint now) {
-  std::vector<Tree::Served> dropped;
+int MustDequeue(Sched& tree, TimePoint now) {
+  std::vector<Sched::Served> dropped;
   auto served = tree.Dequeue(now, &dropped);
   EXPECT_TRUE(served.has_value());
   EXPECT_TRUE(dropped.empty());
@@ -34,10 +34,9 @@ int MustDequeue(Tree& tree, TimePoint now) {
 }
 
 TEST(QosSchedTest, SingleFlowIsFifo) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("only"));
+  Sched tree;
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(cls, 7, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 7, FlowProfile{}, i, 10, kT0);
   }
   EXPECT_EQ(tree.queued(), 3u);
   EXPECT_EQ(MustDequeue(tree, kT0), 1);
@@ -48,13 +47,12 @@ TEST(QosSchedTest, SingleFlowIsFifo) {
 }
 
 TEST(QosSchedTest, DrrAlternatesEqualWeightFlows) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c", 1, /*quantum=*/100));
+  Sched tree;
   // Flow 1 items are 10x, flow 2 items are 20x; every item costs one
   // quantum, so service strictly alternates.
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, 10 + i, 100, kT0);
-    tree.Enqueue(cls, 2, FlowProfile{}, 20 + i, 100, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 10 + i, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 20 + i, kQ, kT0);
   }
   std::vector<int> order;
   for (int i = 0; i < 6; ++i) order.push_back(MustDequeue(tree, kT0));
@@ -62,13 +60,12 @@ TEST(QosSchedTest, DrrAlternatesEqualWeightFlows) {
 }
 
 TEST(QosSchedTest, DrrFlowWeightScalesQuantum) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c", 1, /*quantum=*/100));
+  Sched tree;
   FlowProfile heavy;
   heavy.weight = 2;
   for (int i = 0; i < 8; ++i) {
-    tree.Enqueue(cls, 1, heavy, 1, 100, kT0);        // weight 2
-    tree.Enqueue(cls, 2, FlowProfile{}, 2, 100, kT0);  // weight 1
+    tree.Enqueue(Band::kNormal, 1, heavy, 1, kQ, kT0);          // weight 2
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);  // weight 1
   }
   int flow1 = 0;
   for (int i = 0; i < 9; ++i) {
@@ -79,77 +76,72 @@ TEST(QosSchedTest, DrrFlowWeightScalesQuantum) {
 }
 
 TEST(QosSchedTest, DrrQuantumAccountingIsByteFair) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c", 1, /*quantum=*/100));
-  // Flow 1 sends 300-byte items, flow 2 sends 100-byte items: deficits
+  Sched tree;
+  // Flow 1 sends 3-quantum items, flow 2 sends 1-quantum items: deficits
   // accumulate across rounds, so *bytes* equalize, not item counts. Equal
-  // byte backlogs (4800 each) keep both flows busy for the whole run — a
-  // flow that empties retires and forfeits its deficit, which would skew
-  // the tally toward the survivor.
+  // byte backlogs (48 quanta each) keep both flows busy for the whole run
+  // — a flow that empties retires and forfeits its deficit, which would
+  // skew the tally toward the survivor.
   for (int i = 0; i < 16; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, 1, 300, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, 3 * kQ, kT0);
   }
   for (int i = 0; i < 48; ++i) {
-    tree.Enqueue(cls, 2, FlowProfile{}, 2, 100, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);
   }
   std::int64_t bytes1 = 0;
   std::int64_t bytes2 = 0;
   for (int i = 0; i < 24; ++i) {
-    std::vector<Tree::Served> dropped;
+    std::vector<Sched::Served> dropped;
     auto served = tree.Dequeue(kT0, &dropped);
     ASSERT_TRUE(served.has_value());
     (served->flow == 1 ? bytes1 : bytes2) +=
         static_cast<std::int64_t>(served->bytes);
   }
   // Within one max-size item of perfect byte fairness.
-  EXPECT_LE(std::abs(bytes1 - bytes2), 300);
+  EXPECT_LE(std::abs(bytes1 - bytes2), static_cast<std::int64_t>(3 * kQ));
 }
 
 TEST(QosSchedTest, WfqClassWeightsShareService) {
-  Tree tree;
-  const auto high = tree.AddClass(Tree::kRoot, Leaf("high", 3));
-  const auto low = tree.AddClass(Tree::kRoot, Leaf("low", 1));
+  Sched tree;
   for (int i = 0; i < 12; ++i) {
-    tree.Enqueue(high, 1, FlowProfile{}, 1, 100, kT0);
-    tree.Enqueue(low, 2, FlowProfile{}, 2, 100, kT0);
+    tree.Enqueue(Band::kHigh, 1, FlowProfile{}, 1, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);
+    tree.Enqueue(Band::kLow, 3, FlowProfile{}, 3, kQ, kT0);
   }
-  int high_served = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (MustDequeue(tree, kT0) == 1) ++high_served;
-  }
-  // Weight 3:1 -> 6 of 8 dequeues from the high class.
-  EXPECT_EQ(high_served, 6);
+  int served[4] = {};
+  for (int i = 0; i < 13; ++i) ++served[MustDequeue(tree, kT0)];
+  // Weights 8:4:1 -> 8, 4 and 1 of 13 equal-cost dequeues.
+  EXPECT_EQ(served[1], 8);
+  EXPECT_EQ(served[2], 4);
+  EXPECT_EQ(served[3], 1);
 }
 
 TEST(QosSchedTest, ActivationGrantsNoCatchUpCredit) {
-  Tree tree;
-  const auto high = tree.AddClass(Tree::kRoot, Leaf("high", 1));
-  const auto low = tree.AddClass(Tree::kRoot, Leaf("low", 1));
+  Sched tree;
   for (int i = 0; i < 20; ++i) {
-    tree.Enqueue(high, 1, FlowProfile{}, 1, 100, kT0);
+    tree.Enqueue(Band::kHigh, 1, FlowProfile{}, 1, kQ, kT0);
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(MustDequeue(tree, kT0), 1);
   }
-  // The low class activates after sitting idle through 10 services. It
-  // joins at the parent's current virtual time: strict alternation from
-  // here, not a burst of low until its pass catches up.
+  // The Normal band activates after sitting idle through 10 services. It
+  // joins at the current virtual time: the 8:4 ratio from here, not a
+  // burst of Normal until its pass catches up.
   for (int i = 0; i < 4; ++i) {
-    tree.Enqueue(low, 2, FlowProfile{}, 2, 100, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);
   }
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) order.push_back(MustDequeue(tree, kT0));
-  EXPECT_EQ(order, (std::vector<int>{2, 1, 2, 1, 2, 1, 2, 1}));
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 1, 2, 1, 1, 2, 1}));
 }
 
 TEST(QosSchedTest, FlowTokenBucketShapes) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c"));
+  Sched tree;
   FlowProfile shaped;
   shaped.rate_bytes_per_sec = 1000;
   shaped.burst_bytes = 100;
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(cls, 1, shaped, i, 100, kT0);
+    tree.Enqueue(Band::kNormal, 1, shaped, i, 100, kT0);
   }
   // Burst covers the first item; the bucket may go one item negative, so
   // the second is served too; the third must wait for tokens.
@@ -163,30 +155,13 @@ TEST(QosSchedTest, FlowTokenBucketShapes) {
   EXPECT_EQ(MustDequeue(tree, kT0 + milliseconds(100)), 3);
 }
 
-TEST(QosSchedTest, ClassTokenBucketShapesSubtree) {
-  Tree tree;
-  ClassOptions shaped = Leaf("shaped");
-  shaped.rate_bytes_per_sec = 1000;
-  shaped.burst_bytes = 100;
-  const auto cls = tree.AddClass(Tree::kRoot, shaped);
-  for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, i, 100, kT0);
-  }
-  EXPECT_EQ(MustDequeue(tree, kT0), 1);
-  EXPECT_EQ(MustDequeue(tree, kT0), 2);
-  EXPECT_FALSE(tree.Dequeue(kT0, nullptr).has_value());
-  ASSERT_TRUE(tree.NextReadyTime(kT0).has_value());
-  EXPECT_EQ(MustDequeue(tree, kT0 + milliseconds(100)), 3);
-}
-
 TEST(QosSchedTest, DrainBypassesShaping) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c"));
+  Sched tree;
   FlowProfile shaped;
   shaped.rate_bytes_per_sec = 1;  // 1 B/s: effectively frozen
   shaped.burst_bytes = 1;
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(cls, 1, shaped, i, 100, kT0);
+    tree.Enqueue(Band::kNormal, 1, shaped, i, 100, kT0);
   }
   EXPECT_EQ(MustDequeue(tree, kT0), 1);  // burst covers one (goes negative)
   EXPECT_FALSE(tree.Dequeue(kT0, nullptr).has_value());
@@ -196,18 +171,13 @@ TEST(QosSchedTest, DrainBypassesShaping) {
 }
 
 TEST(QosSchedTest, CodelEntersDropStateAfterInterval) {
-  Tree tree;
-  ClassOptions opts = Leaf("c");
-  opts.codel.enabled = true;
-  opts.codel.target = milliseconds(5);
-  opts.codel.interval = milliseconds(100);
-  const auto cls = tree.AddClass(Tree::kRoot, opts);
+  Sched tree(Codel(milliseconds(5), milliseconds(100)));
   for (int i = 1; i <= 10; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, kT0);
   }
 
   // Sojourn above target starts the interval clock but nothing drops yet.
-  std::vector<Tree::Served> dropped;
+  std::vector<Sched::Served> dropped;
   auto served = tree.Dequeue(kT0 + milliseconds(10), &dropped);
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(served->value, 1);
@@ -223,20 +193,15 @@ TEST(QosSchedTest, CodelEntersDropStateAfterInterval) {
   EXPECT_EQ(served->value, 3);
 
   const auto snap = tree.Snapshot();
-  EXPECT_EQ(snap[cls].dropped, 1u);
+  EXPECT_EQ(snap[BandIndex(Band::kNormal)].dropped, 1u);
 }
 
 TEST(QosSchedTest, CodelExitsWhenSojournDips) {
-  Tree tree;
-  ClassOptions opts = Leaf("c");
-  opts.codel.enabled = true;
-  opts.codel.target = milliseconds(5);
-  opts.codel.interval = milliseconds(100);
-  const auto cls = tree.AddClass(Tree::kRoot, opts);
+  Sched tree(Codel(milliseconds(5), milliseconds(100)));
   for (int i = 1; i <= 10; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, kT0);
   }
-  std::vector<Tree::Served> dropped;
+  std::vector<Sched::Served> dropped;
   (void)tree.Dequeue(kT0 + milliseconds(10), &dropped);   // start clock
   (void)tree.Dequeue(kT0 + milliseconds(120), &dropped);  // enter dropping
   EXPECT_EQ(dropped.size(), 1u);
@@ -247,7 +212,7 @@ TEST(QosSchedTest, CodelExitsWhenSojournDips) {
   }
   const TimePoint t1 = kT0 + milliseconds(200);
   for (int i = 100; i < 105; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, i, 10, t1);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, t1);
   }
   dropped.clear();
   for (int i = 100; i < 105; ++i) {
@@ -259,82 +224,183 @@ TEST(QosSchedTest, CodelExitsWhenSojournDips) {
 }
 
 TEST(QosSchedTest, RemoveIfCancelsQueuedItems) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c"));
+  Sched tree;
   for (int i = 1; i <= 4; ++i) {
-    tree.Enqueue(cls, 1, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, kT0);
   }
-  const std::size_t removed = tree.RemoveIf(
-      [](Tree::ClassId, std::uint64_t, int v) { return v % 2 == 0; });
+  const std::size_t removed =
+      tree.RemoveIf([](std::uint64_t, int v) { return v % 2 == 0; });
   EXPECT_EQ(removed, 2u);
   EXPECT_EQ(tree.queued(), 2u);
   EXPECT_EQ(MustDequeue(tree, kT0), 1);
   EXPECT_EQ(MustDequeue(tree, kT0), 3);
   // Cancelled items are neither served nor AQM drops.
   const auto snap = tree.Snapshot();
-  EXPECT_EQ(snap[cls].dropped, 0u);
-  EXPECT_EQ(snap[cls].dequeued, 2u);
+  EXPECT_EQ(snap[BandIndex(Band::kNormal)].dropped, 0u);
+  EXPECT_EQ(snap[BandIndex(Band::kNormal)].dequeued, 2u);
 }
 
 TEST(QosSchedTest, RemoveFlowOnlyWhenIdle) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("c"));
-  tree.Enqueue(cls, 1, FlowProfile{}, 1, 10, kT0);
-  tree.RemoveFlow(cls, 1);  // queued: must be a no-op
-  EXPECT_EQ(tree.Snapshot()[cls].flows.size(), 1u);
+  Sched tree;
+  const std::size_t low = BandIndex(Band::kLow);
+  tree.Enqueue(Band::kLow, 1, FlowProfile{}, 1, 10, kT0);
+  tree.RemoveFlow(Band::kLow, 1);  // queued: must be a no-op
+  EXPECT_EQ(tree.Snapshot()[low].flows.size(), 1u);
   (void)MustDequeue(tree, kT0);
-  tree.RemoveFlow(cls, 1);
-  EXPECT_TRUE(tree.Snapshot()[cls].flows.empty());
-}
-
-TEST(QosSchedTest, LiveWeightReconfigurationApplies) {
-  Tree tree;
-  const auto a = tree.AddClass(Tree::kRoot, Leaf("a", 1));
-  const auto b = tree.AddClass(Tree::kRoot, Leaf("b", 1));
-  for (int i = 0; i < 24; ++i) {
-    tree.Enqueue(a, 1, FlowProfile{}, 1, 100, kT0);
-    tree.Enqueue(b, 2, FlowProfile{}, 2, 100, kT0);
-  }
-  int a_served = 0;
-  for (int i = 0; i < 8; ++i) {
-    if (MustDequeue(tree, kT0) == 1) ++a_served;
-  }
-  EXPECT_EQ(a_served, 4);  // 1:1 before the change
-
-  ClassOptions heavier = Leaf("a", 3);
-  tree.SetClassOptions(a, heavier, kT0);
-  a_served = 0;
-  for (int i = 0; i < 16; ++i) {
-    if (MustDequeue(tree, kT0) == 1) ++a_served;
-  }
-  // 3:1 after: allow one arbitration of slack around the switch point.
-  EXPECT_GE(a_served, 11);
-  EXPECT_LE(a_served, 13);
+  tree.RemoveFlow(Band::kLow, 1);
+  EXPECT_TRUE(tree.Snapshot()[low].flows.empty());
 }
 
 TEST(QosSchedTest, SnapshotReportsCountsAndSojourns) {
-  Tree tree;
-  const auto cls = tree.AddClass(Tree::kRoot, Leaf("media"));
+  Sched tree;
   for (int i = 0; i < 5; ++i) {
-    tree.Enqueue(cls, 42, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kHigh, 42, FlowProfile{}, i, 10, kT0);
   }
   (void)MustDequeue(tree, kT0 + milliseconds(3));
   (void)MustDequeue(tree, kT0 + milliseconds(3));
 
   const auto snap = tree.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);  // root + leaf
-  const ClassSnapshot& leaf = snap[cls];
-  EXPECT_EQ(leaf.name, "media");
-  EXPECT_EQ(leaf.enqueued, 5u);
-  EXPECT_EQ(leaf.dequeued, 2u);
-  EXPECT_EQ(leaf.queued, 3u);
-  ASSERT_EQ(leaf.flows.size(), 1u);
-  EXPECT_EQ(leaf.flows[0].id, 42u);
-  EXPECT_EQ(leaf.flows[0].queued, 3u);
+  ASSERT_EQ(snap.size(), kBands);  // one row per band, no synthetic root
+  const BandSnapshot& high = snap[BandIndex(Band::kHigh)];
+  EXPECT_EQ(high.band, Band::kHigh);
+  EXPECT_EQ(BandName(high.band), "high");
+  EXPECT_EQ(high.enqueued, 5u);
+  EXPECT_EQ(high.dequeued, 2u);
+  EXPECT_EQ(high.queued, 3u);
+  ASSERT_EQ(high.flows.size(), 1u);
+  EXPECT_EQ(high.flows[0].id, 42u);
+  EXPECT_EQ(high.flows[0].queued, 3u);
   // Both services waited 3ms; the histogram's p50 is in that bucket.
-  EXPECT_GE(leaf.sojourn_p50_us, 2900u);
-  EXPECT_LE(leaf.sojourn_p50_us, 3200u);
-  EXPECT_EQ(tree.sojourn_histogram(cls).count(), 2u);
+  EXPECT_GE(high.sojourn_p50_us, 2900u);
+  EXPECT_LE(high.sojourn_p50_us, 3200u);
+  EXPECT_EQ(tree.sojourn_histogram(Band::kHigh).count(), 2u);
+  EXPECT_EQ(snap[BandIndex(Band::kLow)].enqueued, 0u);
+}
+
+// Golden order: a seeded mix of enqueues, dequeues, cancels and flow
+// removals over the three bands (weights 8/4/1, quantum 4096, CoDel on at
+// 2 ms / 20 ms), twelve flows of weights 1..8 with two rate-capped. Every
+// served value, every shed value and every NextReadyTime answer is folded
+// into one FNV-1a digest, so any change to a scheduling decision shows
+// here. The digests were recorded on the hierarchical traffic-class tree
+// this scheduler replaced (a root over three leaf classes configured as
+// above) and must not move.
+struct GoldenRun {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t served = 0;
+  std::size_t shed = 0;
+  std::size_t throttled = 0;
+};
+
+GoldenRun RunGoldenOrder(std::uint64_t seed) {
+  Sched tree(Codel(milliseconds(2), milliseconds(20)));
+  constexpr int kFlows = 12;
+  auto band_of = [](int f) { return static_cast<Band>(f % 3); };
+  auto profile_of = [](int f) {
+    FlowProfile p;
+    p.weight = static_cast<std::uint32_t>(1 + (f * 5) % 8);
+    if (f == 4 || f == 9) {
+      p.rate_bytes_per_sec = 400'000;
+      p.burst_bytes = 16 * 1024;
+    }
+    return p;
+  };
+  auto flow_id = [](int f) { return static_cast<std::uint64_t>(100 + f); };
+
+  GoldenRun run;
+  auto mix = [&run](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      run.digest ^= (v >> (8 * i)) & 0xff;
+      run.digest *= 0x100000001b3ULL;
+    }
+  };
+  auto fold = [&](const std::optional<Sched::Served>& s,
+                  const std::vector<Sched::Served>& drops) {
+    for (const auto& d : drops) {
+      mix(2);
+      mix(static_cast<std::uint64_t>(d.value));
+      ++run.shed;
+    }
+    if (s) {
+      mix(1);
+      mix(static_cast<std::uint64_t>(s->value));
+      ++run.served;
+    } else {
+      mix(3);
+    }
+  };
+
+  Rng rng(seed);
+  TimePoint now = kT0;
+  int next_value = 0;
+  for (int step = 0; step < 20000; ++step) {
+    now += microseconds(rng.NextBelow(160));
+    // Alternate overload and underload phases so CoDel enters and leaves
+    // its drop state.
+    const std::uint64_t load = (step / 2500) % 2 == 0 ? 60 : 35;
+    const std::uint64_t op = rng.NextBelow(100);
+    if (op < load) {
+      const int f = static_cast<int>(rng.NextBelow(kFlows));
+      const std::size_t bytes = 512 + rng.NextBelow(8192);
+      tree.Enqueue(band_of(f), flow_id(f), profile_of(f), next_value++, bytes,
+                   now);
+    } else if (op < 94) {
+      std::vector<Sched::Served> drops;
+      auto s = tree.Dequeue(now, &drops);
+      fold(s, drops);
+      if (!s && drops.empty()) {
+        const auto ready = tree.NextReadyTime(now);
+        if (ready) {
+          ++run.throttled;
+          mix(static_cast<std::uint64_t>((*ready - kT0).count()));
+        } else {
+          mix(4);
+        }
+      }
+    } else if (op < 97) {
+      const std::uint64_t k = rng.NextBelow(13);
+      mix(tree.RemoveIf([k](std::uint64_t, int v) {
+        return static_cast<std::uint64_t>(v) % 13 == k;
+      }));
+    } else {
+      const int f = static_cast<int>(rng.NextBelow(kFlows));
+      if (rng.NextBelow(2) == 0) {
+        mix(tree.RemoveIf(
+            [&](std::uint64_t id, int) { return id == flow_id(f); }));
+      }
+      tree.RemoveFlow(band_of(f), flow_id(f));
+    }
+  }
+  for (;;) {
+    std::vector<Sched::Served> drops;
+    auto s = tree.Dequeue(now, &drops, /*drain=*/true);
+    if (!s && drops.empty()) break;
+    fold(s, drops);
+  }
+  for (const BandSnapshot& b : tree.Snapshot()) {
+    mix(b.enqueued);
+    mix(b.dequeued);
+    mix(b.dropped);
+    mix(b.bytes_dequeued);
+    mix(b.sojourn_p99_us);
+  }
+  return run;
+}
+
+TEST(QosSchedTest, GoldenOrderDigest) {
+  struct Case {
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  for (const Case c : {Case{1, 0x6f417d5bc79a5bc7ULL},
+                       Case{0xc001, 0xd2335ab003380848ULL}}) {
+    const GoldenRun run = RunGoldenOrder(c.seed);
+    EXPECT_EQ(run.digest, c.digest) << "seed " << c.seed;
+    // The mix exercises every decision kind, not only plain service.
+    EXPECT_GT(run.served, 6000u) << "seed " << c.seed;
+    EXPECT_GT(run.shed, 100u) << "seed " << c.seed;
+    EXPECT_GT(run.throttled, 100u) << "seed " << c.seed;
+  }
 }
 
 }  // namespace

@@ -207,32 +207,6 @@ TEST(GiopConcurrentTest, CloseConnectionWithRequestsInFlight) {
   EXPECT_FALSE(client.Invoke(Key("obj"), "post-close", {}, {}).ok());
 }
 
-TEST(GiopConcurrentTest, QosPriorityMapsToDispatchClass) {
-  EXPECT_EQ(ClassifyQoS({}), DispatchClass::kNormal);
-  EXPECT_EQ(ClassifyQoS({qos::QoSParameter{
-                static_cast<corba::ULong>(qos::ParamType::kPriority), 200,
-                qos::kUnbounded, qos::kUnbounded}}),
-            DispatchClass::kHigh);
-  EXPECT_EQ(ClassifyQoS({qos::QoSParameter{
-                static_cast<corba::ULong>(qos::ParamType::kPriority), 10,
-                qos::kUnbounded, qos::kUnbounded}}),
-            DispatchClass::kLow);
-  EXPECT_EQ(ClassifyQoS({qos::QoSParameter{
-                static_cast<corba::ULong>(qos::ParamType::kPriority), 100,
-                qos::kUnbounded, qos::kUnbounded}}),
-            DispatchClass::kNormal);
-  // A latency bound without an explicit priority is latency-sensitive.
-  EXPECT_EQ(ClassifyQoS({qos::QoSParameter{
-                static_cast<corba::ULong>(qos::ParamType::kLatencyMicros),
-                500, qos::kUnbounded, qos::kUnbounded}}),
-            DispatchClass::kHigh);
-  // Throughput alone has no scheduling implication.
-  EXPECT_EQ(ClassifyQoS({qos::QoSParameter{
-                static_cast<corba::ULong>(qos::ParamType::kThroughputKbps),
-                8000, qos::kUnbounded, qos::kUnbounded}}),
-            DispatchClass::kNormal);
-}
-
 TEST(GiopConcurrentTest, HighPriorityOvertakesQueuedLowPriority) {
   // Single worker + a slow head job: while it runs, one low- and one
   // high-priority request queue up; the high one must be served first.

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "giop/dispatch_pool.h"
 #include "qos/qos.h"
 
 namespace cool::qos {
@@ -100,19 +99,6 @@ TEST(ClassifyTest, UnboundedThroughputNeverShapes) {
   const SchedProfile p =
       ClassifyForScheduling({RequireThroughputKbps(8'000, 2'000)});
   EXPECT_EQ(p.rate_bytes_per_sec, 0u);
-}
-
-TEST(ClassifyTest, BandProjectionMatchesDispatchClassifier) {
-  // giop::ClassifyQoS is the historical band-only classifier; the full
-  // profile must agree with it on every priority value.
-  for (int v = 0; v <= 255; ++v) {
-    const auto params = std::vector<QoSParameter>{
-        RequirePriority(static_cast<corba::ULong>(v))};
-    const SchedProfile p = ClassifyForScheduling(params);
-    EXPECT_EQ(static_cast<int>(p.band),
-              static_cast<int>(giop::ClassifyQoS(params)))
-        << "priority " << v;
-  }
 }
 
 }  // namespace
