@@ -4,6 +4,7 @@
 //
 //   * CRC32: scalar byte-at-a-time vs slicing-by-8 vs the hardware path
 //     (PCLMUL / ARMv8 CRC), plus the runtime-dispatched entry point.
+//   * CRC16: the slicing-by-8 CCITT kernel behind the crc16 mechanism.
 //   * XOR keystream cipher: scalar octet loop vs word-at-a-time.
 //   * Sequencing: SequencerModule in-order release, per-packet HandleData
 //     vs whole-train ProcessBurst (the burst engine's hot path).
@@ -175,6 +176,12 @@ int main(int argc, char** argv) {
   AddRow(table, records, "crc32 dispatch 4k",
          MeasureMBps(buf, window, [&](std::span<const std::uint8_t> b) {
            sink32 = sink32 ^ cool::dacapo::Crc32(b);
+         }));
+
+  volatile std::uint16_t sink16 = 0;
+  AddRow(table, records, "crc16 4k",
+         MeasureMBps(buf, window, [&](std::span<const std::uint8_t> b) {
+           sink16 = sink16 ^ cool::dacapo::Crc16(b);
          }));
 
   std::vector<std::uint8_t> xbuf = buf;

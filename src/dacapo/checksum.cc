@@ -19,16 +19,54 @@ std::uint8_t ParityByte(std::span<const std::uint8_t> data) noexcept {
   return p;
 }
 
-std::uint16_t Crc16(std::span<const std::uint8_t> data) noexcept {
-  std::uint16_t crc = 0xFFFF;
-  for (std::uint8_t b : data) {
-    crc ^= static_cast<std::uint16_t>(b) << 8;
-    for (int i = 0; i < 8; ++i) {
-      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
-                           : static_cast<std::uint16_t>(crc << 1);
+namespace {
+
+// CRC-16/CCITT-FALSE slicing tables (MSB-first): t[0][i] is the CRC of
+// octet i; t[k][i] advances it through k more zero octets, so eight
+// lookups retire eight input octets per step. Built at compile time: the
+// data path has no first-call initialisation.
+struct Crc16Tables {
+  std::uint16_t t[8][256];
+};
+
+constexpr Crc16Tables MakeCrc16Tables() {
+  Crc16Tables c{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t r = i << 8;
+    for (int k = 0; k < 8; ++k) {
+      r = (r & 0x8000) != 0 ? (r << 1) ^ 0x1021 : r << 1;
+    }
+    c.t[0][i] = static_cast<std::uint16_t>(r);
+  }
+  for (int s = 1; s < 8; ++s) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = c.t[s - 1][i];
+      c.t[s][i] = static_cast<std::uint16_t>((prev << 8) ^
+                                             c.t[0][prev >> 8]);
     }
   }
-  return crc;
+  return c;
+}
+
+constexpr Crc16Tables kCrc16 = MakeCrc16Tables();
+
+}  // namespace
+
+std::uint16_t Crc16(std::span<const std::uint8_t> data) noexcept {
+  const auto& t = kCrc16.t;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  std::uint32_t crc = 0xFFFF;
+  while (n >= 8) {
+    crc = t[7][p[0] ^ (crc >> 8)] ^ t[6][p[1] ^ (crc & 0xFF)] ^ t[5][p[2]] ^
+          t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    p += 8;
+    n -= 8;
+  }
+  while (n-- > 0) {
+    crc = ((crc << 8) & 0xFFFF) ^ t[0][(crc >> 8) ^ *p++];
+  }
+  return static_cast<std::uint16_t>(crc);
 }
 
 namespace {

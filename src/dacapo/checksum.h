@@ -25,7 +25,9 @@ namespace cool::dacapo {
 // widened to a byte so it is wire-representable on its own).
 std::uint8_t ParityByte(std::span<const std::uint8_t> data) noexcept;
 
-// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF).
+// CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, MSB-first, no final XOR):
+// slicing-by-8 over compile-time tables. The bitwise definition it must
+// match lives in the tests as the reference.
 std::uint16_t Crc16(std::span<const std::uint8_t> data) noexcept;
 
 // CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320): runtime-dispatched to

@@ -166,8 +166,9 @@ Result<ConfiguredGraph> ConfigurationManager::Configure(
   // Error detection at the bottom: it covers every header pushed above it.
   if (req.need_error_detection || need_arq) {
     MechanismSpec m;
-    // CRC32 when loss tolerance is strict or the data rate is high (the
-    // table-driven implementation is cheaper per octet); CRC16 otherwise.
+    // CRC32 when loss tolerance is strict (a 32-bit check misses fewer
+    // corruptions) or the data rate is high (its kernel is the cheaper per
+    // octet); CRC16, with the shorter trailer, otherwise.
     if (req.max_loss_permille <= 1 || req.min_throughput_kbps >= 20'000) {
       m.name = mechanisms::kCrc32;
     } else {

@@ -292,7 +292,7 @@ Result<PacketPtr> Session::ReceivePacket(Duration timeout) {
     // (retryable) rather than kUnavailable (terminal).
     const TimePoint grace_end = Now() + milliseconds(200);
     bool swapped = false;
-    while (!closed_.load() && Now() < grace_end) {
+    while (!Ended() && Now() < grace_end) {
       AppAModule* now_active = nullptr;
       {
         ReaderMutexLock lock(plane_mu_);
@@ -318,13 +318,13 @@ Result<PacketPtr> Session::TryReceivePacket() {
   ReaderMutexLock lock(plane_mu_);
   AppAModule* a = plane_.a_module;
   if (a == nullptr) {
-    if (closed_.load()) return Status(UnavailableError("session closed"));
+    if (Ended()) return Status(UnavailableError("session closed"));
     return Status(
         FailedPreconditionError("session has no active data plane"));
   }
   Result<PacketPtr> got = a->TryReceivePacket();
   if (!got.ok() && got.status().code() == ErrorCode::kUnavailable &&
-      !closed_.load()) {
+      !Ended()) {
     // Reconfiguration in flight: the old plane is closed but its
     // replacement has not landed yet. Nothing deliverable right now;
     // AdoptPlane signals the watch once the swap completes.
@@ -514,11 +514,16 @@ void Session::SignallingLoop(std::stop_token stop) {
         break;
       }
       case wire::kClose:
+        // The peer closed: end the data plane as a local Close does
+        // (stopping the chain closes the A module's receive queue), so
+        // blocked receivers and the reactor watch see kUnavailable.
+        peer_closed_.store(true);
         ReportError(UnavailableError("peer closed the connection"));
         {
           ReaderMutexLock lock(plane_mu_);
           if (plane_.chain != nullptr) plane_.chain->Stop();
         }
+        rx_watch_.SignalReady();
         responses_.Close();
         return;
       default:

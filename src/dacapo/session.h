@@ -167,8 +167,9 @@ class Session {
   Result<std::vector<std::uint8_t>> Receive(Duration timeout);
 
   // Non-blocking receive: a null packet when nothing is queued
-  // right now (including mid-reconfiguration), kUnavailable once the
-  // session is closed. Pair with WatchRx for reactor-driven delivery.
+  // right now (including mid-reconfiguration), kUnavailable once either
+  // end has closed the session. Pair with WatchRx for reactor-driven
+  // delivery.
   Result<PacketPtr> TryReceivePacket();
 
   // Attaches receive readiness to `set` under `token`: signalled on every
@@ -237,6 +238,9 @@ class Session {
   void SignallingLoop(std::stop_token stop);
   void HandleReconfRequest(std::span<const std::uint8_t> body);
   void ReportError(Status error);
+  // Closed by either end: a closed receive queue is then final, not a
+  // reconfiguration in flight.
+  bool Ended() const { return closed_.load() || peer_closed_.load(); }
 
   sim::Network* net_;
   std::string local_host_;
@@ -255,7 +259,8 @@ class Session {
   Status error_ COOL_GUARDED_BY(error_mu_);
 
   Thread signalling_thread_;
-  std::atomic<bool> closed_{false};
+  std::atomic<bool> closed_{false};       // local Close()
+  std::atomic<bool> peer_closed_{false};  // the peer's CLOSE frame arrived
 
   // Receive-readiness watch. Lives on the Session (not the plane) so a
   // reactor registration survives reconfigurations; internally

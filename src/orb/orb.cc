@@ -116,7 +116,8 @@ void ORB::Shutdown() {
   for (auto& conn : conns) {
     // Close first so a mid-callback drain (and any upcall mid-reply) fails
     // fast instead of blocking; then barrier out the drain callback; then
-    // detach the server from the shared pool.
+    // detach the server from the shared pool. The channel's close is what
+    // reaches the client: every transport carries it to the peer.
     conn->channel->Close();
     reactor_.Remove(conn->id);
     conn->server->Close();

@@ -13,7 +13,8 @@ Status StreamPipe::Write(std::span<const std::uint8_t> data) {
   return WriteV(one);
 }
 
-Status StreamPipe::WriteV(std::span<const std::span<const std::uint8_t>> parts) {
+Status StreamPipe::WriteV(std::span<const std::span<const std::uint8_t>> parts,
+                          std::optional<Duration> window_wait) {
   std::size_t total = 0;
   for (const auto& part : parts) total += part.size();
   if (total == 0) return Status::Ok();
@@ -31,7 +32,17 @@ Status StreamPipe::WriteV(std::span<const std::span<const std::uint8_t>> parts) 
   PreciseSleep(send_done - Now());
 
   MutexLock lock(mu_);
-  while (!closed_ && buffered_bytes_ >= window_bytes_) writable_.Wait(mu_);
+  if (window_wait.has_value()) {
+    const TimePoint deadline = DeadlineFor(*window_wait);
+    while (!closed_ && buffered_bytes_ >= window_bytes_) {
+      if (Now() >= deadline) {
+        return DeadlineExceededError("stream write timed out: window full");
+      }
+      writable_.WaitUntil(mu_, deadline);
+    }
+  } else {
+    while (!closed_ && buffered_bytes_ >= window_bytes_) writable_.Wait(mu_);
+  }
   if (closed_) return UnavailableError("stream closed");
 
   Chunk chunk;

@@ -57,8 +57,11 @@ class StreamPipe {
 
   // Gathered write: the concatenation of `parts` is paced and enqueued as
   // one chunk — a writev for the simulated stream. The reader cannot tell
-  // it apart from Write(join(parts)).
-  Status WriteV(std::span<const std::span<const std::uint8_t>> parts);
+  // it apart from Write(join(parts)). With `window_wait`, a window that
+  // stays full that long fails the write with kDeadlineExceeded; nothing
+  // is enqueued, so the byte stream stays intact.
+  Status WriteV(std::span<const std::span<const std::uint8_t>> parts,
+                std::optional<Duration> window_wait = std::nullopt);
 
   // Blocks until at least one ready octet is available (or the pipe is
   // closed and drained -> kUnavailable; or `deadline` passes ->
@@ -204,9 +207,11 @@ class StreamSocket {
 
   Status Send(std::span<const std::uint8_t> data) { return tx_->Write(data); }
 
-  // Gathered send (writev): `parts` leave as one contiguous write.
-  Status SendV(std::span<const std::span<const std::uint8_t>> parts) {
-    return tx_->WriteV(parts);
+  // Gathered send (writev): `parts` leave as one contiguous write. See
+  // StreamPipe::WriteV for `window_wait`.
+  Status SendV(std::span<const std::span<const std::uint8_t>> parts,
+               std::optional<Duration> window_wait = std::nullopt) {
+    return tx_->WriteV(parts, window_wait);
   }
 
   // Reads up to out.size() octets; blocks for at least one.

@@ -7,32 +7,41 @@ namespace cool::transport {
 
 namespace {
 
-// HELLO wire format: magic 'I''P''C' + kind octet + u16 LE channel port.
+// Control datagram format: magic 'I''P''C' + kind octet + u16 LE channel
+// port (zero in a CLOSE).
 constexpr std::uint8_t kHello = 1;
 constexpr std::uint8_t kHelloAck = 2;
-constexpr std::size_t kHelloSize = 6;
+constexpr std::uint8_t kClose = 3;
+constexpr std::size_t kControlSize = 6;
 
 std::uint16_t AllocIpcPort() {
   static std::atomic<std::uint16_t> next{30000};
   return next.fetch_add(1);
 }
 
-std::array<std::uint8_t, kHelloSize> EncodeHello(std::uint8_t kind,
-                                                 std::uint16_t port) {
+std::array<std::uint8_t, kControlSize> EncodeControl(std::uint8_t kind,
+                                                     std::uint16_t port) {
   return {'I', 'P', 'C', kind, static_cast<std::uint8_t>(port),
           static_cast<std::uint8_t>(port >> 8)};
 }
 
-Result<std::pair<std::uint8_t, std::uint16_t>> DecodeHello(
+Result<std::pair<std::uint8_t, std::uint16_t>> DecodeControl(
     std::span<const std::uint8_t> payload) {
-  if (payload.size() != kHelloSize || payload[0] != 'I' ||
+  if (payload.size() != kControlSize || payload[0] != 'I' ||
       payload[1] != 'P' || payload[2] != 'C') {
-    return Status(ProtocolError("malformed IPC HELLO"));
+    return Status(ProtocolError("malformed IPC control datagram"));
   }
   const std::uint16_t port = static_cast<std::uint16_t>(payload[4]) |
                              static_cast<std::uint16_t>(payload[5]) << 8;
   return std::make_pair(payload[3], port);
 }
+
+bool IsClose(std::span<const std::uint8_t> payload) {
+  auto decoded = DecodeControl(payload);
+  return decoded.ok() && decoded->first == kClose;
+}
+
+Status PeerClosed() { return UnavailableError("IPC peer closed the channel"); }
 
 }  // namespace
 
@@ -52,6 +61,7 @@ Status IpcComChannel::SendMessageV(
 
 Result<ByteBuffer> IpcComChannel::ReceiveMessage(Duration timeout) {
   for (;;) {
+    if (peer_closed_.load()) return PeerClosed();
     auto dgram = port_->RecvFor(timeout);
     if (!dgram.has_value()) {
       // A closed-and-drained port reports the close as terminal, not as
@@ -62,12 +72,17 @@ Result<ByteBuffer> IpcComChannel::ReceiveMessage(Duration timeout) {
       return Status(DeadlineExceededError("IPC receive timed out"));
     }
     if (dgram->from != peer_) continue;  // stray datagram: not our peer
+    if (IsClose(dgram->payload)) {
+      peer_closed_.store(true);
+      continue;
+    }
     return ByteBuffer(std::move(dgram->payload));
   }
 }
 
 Result<std::optional<ByteBuffer>> IpcComChannel::TryReceiveMessage() {
   for (;;) {
+    if (peer_closed_.load()) return PeerClosed();
     std::optional<sim::Datagram> dgram = port_->TryRecv();
     if (!dgram.has_value()) {
       if (port_->depleted()) {
@@ -76,6 +91,10 @@ Result<std::optional<ByteBuffer>> IpcComChannel::TryReceiveMessage() {
       return std::optional<ByteBuffer>{};
     }
     if (dgram->from != peer_) continue;  // stray datagram: not our peer
+    if (IsClose(dgram->payload)) {
+      peer_closed_.store(true);
+      continue;
+    }
     return std::optional<ByteBuffer>{ByteBuffer(std::move(dgram->payload))};
   }
 }
@@ -85,7 +104,14 @@ bool IpcComChannel::RegisterRx(const sim::WaitSet& set, std::uint64_t token) {
   return true;
 }
 
-void IpcComChannel::Close() { port_->Close(); }
+void IpcComChannel::Close() {
+  if (closed_.exchange(true)) return;
+  // Chorus IPC has no connection to tear down, so the close travels as a
+  // CLOSE datagram: the peer's receives turn terminal instead of timing
+  // out. A datagram send never waits on the peer.
+  (void)port_->SendTo(peer_, EncodeControl(kClose, 0));
+  port_->Close();
+}
 
 Status IpcComManager::Listen() {
   COOL_ASSIGN_OR_RETURN(hello_port_, net_->OpenPort(addr_));
@@ -106,10 +132,10 @@ Result<std::unique_ptr<ComChannel>> IpcComManager::OpenChannel(
   // mis-configured lossy link fails loudly instead of hanging.
   for (int attempt = 0; attempt < 3; ++attempt) {
     COOL_RETURN_IF_ERROR(
-        port->SendTo(remote, EncodeHello(kHello, local_port)));
+        port->SendTo(remote, EncodeControl(kHello, local_port)));
     auto reply = port->RecvFor(milliseconds(250));
     if (!reply.has_value()) continue;
-    COOL_ASSIGN_OR_RETURN(auto decoded, DecodeHello(reply->payload));
+    COOL_ASSIGN_OR_RETURN(auto decoded, DecodeControl(reply->payload));
     const auto& [kind, peer_port] = decoded;
     if (kind != kHelloAck) continue;
     return std::unique_ptr<ComChannel>(std::make_unique<IpcComChannel>(
@@ -128,7 +154,7 @@ Result<std::unique_ptr<ComChannel>> IpcComManager::AcceptChannel() {
     if (!dgram.has_value()) {
       return Status(UnavailableError("IPC manager closed"));
     }
-    auto decoded = DecodeHello(dgram->payload);
+    auto decoded = DecodeControl(dgram->payload);
     if (!decoded.ok() || decoded->first != kHello) continue;
 
     const std::uint16_t channel_port = AllocIpcPort();
@@ -136,7 +162,7 @@ Result<std::unique_ptr<ComChannel>> IpcComManager::AcceptChannel() {
                           net_->OpenPort({addr_.host, channel_port}));
     const sim::Address peer{dgram->from.host, decoded->second};
     COOL_RETURN_IF_ERROR(
-        port->SendTo(peer, EncodeHello(kHelloAck, channel_port)));
+        port->SendTo(peer, EncodeControl(kHelloAck, channel_port)));
     return std::unique_ptr<ComChannel>(
         std::make_unique<IpcComChannel>(std::move(port), peer));
   }
@@ -154,7 +180,7 @@ Result<std::unique_ptr<ComChannel>> IpcComManager::TryAcceptChannel() {
       }
       return std::unique_ptr<ComChannel>();
     }
-    auto decoded = DecodeHello(dgram->payload);
+    auto decoded = DecodeControl(dgram->payload);
     if (!decoded.ok() || decoded->first != kHello) continue;
 
     const std::uint16_t channel_port = AllocIpcPort();
@@ -162,7 +188,7 @@ Result<std::unique_ptr<ComChannel>> IpcComManager::TryAcceptChannel() {
                           net_->OpenPort({addr_.host, channel_port}));
     const sim::Address peer{dgram->from.host, decoded->second};
     COOL_RETURN_IF_ERROR(
-        port->SendTo(peer, EncodeHello(kHelloAck, channel_port)));
+        port->SendTo(peer, EncodeControl(kHelloAck, channel_port)));
     return std::unique_ptr<ComChannel>(
         std::make_unique<IpcComChannel>(std::move(port), peer));
   }

@@ -3,8 +3,12 @@
 // the second transport COOL supports on ChorusOS ("The supported transport
 // layer protocols are TCP/IP and Chorus IPC"). Chorus IPC is reliable
 // kernel IPC; accordingly this transport must only be deployed on links
-// configured without loss (asserted at channel setup).
+// configured without loss (asserted at channel setup). Close() sends the
+// peer a CLOSE datagram, after which the peer's receives report
+// kUnavailable, as a closed TCP stream does.
 #pragma once
+
+#include <atomic>
 
 #include "sim/network.h"
 #include "transport/com_channel.h"
@@ -33,6 +37,8 @@ class IpcComChannel : public ComChannel {
  private:
   std::unique_ptr<sim::DatagramPort> port_;
   sim::Address peer_;
+  std::atomic<bool> closed_{false};       // Close() ran: CLOSE sent once
+  std::atomic<bool> peer_closed_{false};  // the peer's CLOSE arrived
 };
 
 class IpcComManager : public ComManager {

@@ -4,6 +4,16 @@
 
 namespace cool::transport {
 
+namespace {
+
+// A peer that keeps its receive window full this long is treated as gone:
+// the send fails with kDeadlineExceeded instead of pinning the sending
+// thread (for a reply, a dispatch worker) until the peer reads or the
+// channel closes. Nothing is written, so the stream stays framed.
+constexpr Duration kWindowStallLimit = seconds(10);
+
+}  // namespace
+
 void TcpBuffer::Append(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return;
   if (data_.empty()) {
@@ -87,7 +97,7 @@ Status TcpComChannel::SendMessageV(
     iov = large;
   }
   MutexLock lock(tx_mu_);
-  return socket_->SendV(iov);
+  return socket_->SendV(iov, kWindowStallLimit);
 }
 
 Result<ByteBuffer> TcpComChannel::ReceiveMessage(Duration timeout) {

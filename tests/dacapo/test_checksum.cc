@@ -50,6 +50,58 @@ TEST(Crc16Test, EmptyIsInit) {
   EXPECT_EQ(Crc16({}), 0xFFFF);
 }
 
+// The bit-at-a-time definition of CRC-16/CCITT-FALSE: the semantic anchor
+// the slicing-by-8 kernel must reproduce on every input.
+std::uint16_t Crc16Reference(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0xFFFF;
+  for (std::uint8_t b : data) {
+    crc ^= static_cast<std::uint16_t>(b) << 8;
+    for (int i = 0; i < 8; ++i) {
+      crc = (crc & 0x8000) ? static_cast<std::uint16_t>((crc << 1) ^ 0x1021)
+                           : static_cast<std::uint16_t>(crc << 1);
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16Test, MatchesReferenceEveryShortLengthAndOffset) {
+  // Lengths 0..300 cover the byte-wise tail, exact multiples of the 8-octet
+  // step, and every mix of the two; offsets 0..8 cover every alignment.
+  Rng rng(20261019);
+  std::vector<std::uint8_t> buf(8 + 300);
+  for (auto& b : buf) b = rng.NextByte();
+  for (std::size_t offset = 0; offset <= 8; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> s{buf.data() + offset, len};
+      ASSERT_EQ(Crc16(s), Crc16Reference(s))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc16Test, MatchesReferenceOnLargeBuffers) {
+  Rng rng(7);
+  for (std::size_t len : {std::size_t{16} * 1024, std::size_t{64} * 1024}) {
+    std::vector<std::uint8_t> buf(len);
+    for (auto& b : buf) b = rng.NextByte();
+    EXPECT_EQ(Crc16(buf), Crc16Reference(buf)) << "len=" << len;
+  }
+}
+
+TEST(Crc16Test, MatchesReferenceOnConstantBuffers) {
+  // All-zero and all-ones inputs drive the table indices to 0x00 and 0xFF
+  // on every step, the edges a seeded buffer only visits by chance.
+  for (std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    for (std::size_t len : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                            std::size_t{9}, std::size_t{64},
+                            std::size_t{16} * 1024 + 3}) {
+      const std::vector<std::uint8_t> buf(len, fill);
+      EXPECT_EQ(Crc16(buf), Crc16Reference(buf))
+          << "fill=" << int{fill} << " len=" << len;
+    }
+  }
+}
+
 TEST(Crc32Test, KnownVector) {
   // CRC-32("123456789") = 0xCBF43926.
   const std::string s = "123456789";

@@ -243,5 +243,37 @@ TEST(CostModelTest, MoreModulesMoreLatency) {
             mgr.EstimateLatencyMicros(shallow, Lan()));
 }
 
+// The per-byte constants follow the kernels' measured rates (graph.cc), so
+// the model relates the mechanisms the way the kernels do. Relations, not
+// absolute figures, which vary by machine: the word-wide XOR cipher is
+// cheaper per byte than the CRC-16 table kernel, and the hardware-folded
+// CRC-32 costs well under a quarter of it (bench_mechanisms reads about a
+// tenth). The old constants (crc32 1.0, crc16 2.0 ns/B) fail the last.
+TEST(CostModelTest, ChecksumCostsFollowTheirKernels) {
+  ConfigurationManager mgr;
+  NetworkEstimate fast = Lan();
+  fast.bandwidth_bps = 0;  // unbounded: the slowest stage sets the rate
+  fast.typical_packet_bytes = 16 * 1024;
+
+  ModuleGraphSpec with_crc16;
+  with_crc16.chain.push_back({mechanisms::kXorCipher, {}});
+  with_crc16.chain.push_back({mechanisms::kCrc16, {}});
+  ModuleGraphSpec with_crc32 = with_crc16;
+  with_crc32.chain.back().name = mechanisms::kCrc32;
+
+  EXPECT_GE(mgr.EstimateThroughputKbps(with_crc32, fast),
+            mgr.EstimateThroughputKbps(with_crc16, fast));
+  EXPECT_LE(mgr.EstimateLatencyMicros(with_crc32, fast),
+            mgr.EstimateLatencyMicros(with_crc16, fast));
+
+  const MechanismRegistry& reg = MechanismRegistry::Global();
+  const double crc16 = reg.Properties(mechanisms::kCrc16)->per_byte_ns;
+  const double crc32 = reg.Properties(mechanisms::kCrc32)->per_byte_ns;
+  const double xor_cipher =
+      reg.Properties(mechanisms::kXorCipher)->per_byte_ns;
+  EXPECT_LT(xor_cipher, crc16);
+  EXPECT_LE(4 * crc32, crc16);
+}
+
 }  // namespace
 }  // namespace cool::dacapo

@@ -5,6 +5,7 @@
 // accepting fresh work.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include "common/clock.h"
 #include "common/thread.h"
+#include "giop/message.h"
 #include "orb/stub.h"
 #include "test_servants.h"
 
@@ -162,19 +164,29 @@ TEST_P(ConnectionChurnTest, AbandonedConnects) {
 
 // Shutdown with live, active connections: the barrier sequence (managers,
 // accept regs, per-connection close, pool) must terminate promptly even
-// while clients are mid-invocation.
+// while clients are mid-invocation, and the close must reach the clients:
+// each one's in-flight call ends in a CORBA exception soon after Shutdown
+// returns, instead of waiting out the invocation timeout.
 TEST_P(ConnectionChurnTest, ShutdownUnderLoad) {
-  std::atomic<bool> stop{false};
+  constexpr int kClients = 4;
+  constexpr Duration kCloseReachesClient = milliseconds(500);
+  std::array<Status, kClients> outcome;
+  std::array<TimePoint, kClients> ended{};
   std::vector<Thread> clients;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t](std::stop_token) {
       ORB client(net_.get(), "load-" + std::to_string(t));
       Stub stub(&client, ref_);
-      while (!stop.load()) {
+      for (;;) {
         cdr::Encoder args = stub.MakeArgsEncoder();
         args.PutLong(t);
         args.PutLong(t);
-        if (!stub.Invoke("add", args.buffer().view()).ok()) break;
+        auto reply = stub.Invoke("add", args.buffer().view());
+        if (!reply.ok()) {
+          outcome[t] = reply.status();
+          ended[t] = Now();
+          return;
+        }
       }
     });
   }
@@ -183,8 +195,57 @@ TEST_P(ConnectionChurnTest, ShutdownUnderLoad) {
   const Stopwatch timer;
   server_->Shutdown();
   EXPECT_LT(timer.Elapsed(), seconds(30));
-  stop = true;
+  const TimePoint shutdown_done = Now();
   for (auto& c : clients) c.join();
+  for (int t = 0; t < kClients; ++t) {
+    EXPECT_FALSE(outcome[t].ok()) << "client " << t;
+    EXPECT_NE(outcome[t].code(), ErrorCode::kDeadlineExceeded)
+        << "client " << t << " waited out its call: " << outcome[t];
+    EXPECT_LE(ended[t] - shutdown_done, kCloseReachesClient)
+        << "client " << t << " ended "
+        << ToMillis(ended[t] - shutdown_done) << " ms after Shutdown: "
+        << outcome[t];
+  }
+}
+
+// Shutdown while a client has stopped reading its replies. On TCP the
+// replies fill the 4 MiB receive window, so upcalls wait mid-reply (up to
+// the channel's 10 s window-stall limit) and the connection's reactor
+// drain waits behind them. Teardown must not wait on that peer: each
+// channel closes before anything else, which fails the waiting writes at
+// once, so Shutdown stays well inside the stall limit.
+TEST_P(ConnectionChurnTest, ShutdownWithStalledClient) {
+  ORB client(net_.get(), "stalled");
+  auto channel = client.OpenChannel(ref_, {});
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  // 160 echoes of 32 KiB: 5 MiB of replies that nobody reads.
+  constexpr int kRequests = 160;
+  const std::string payload(32 * 1024, 'x');
+  Thread sender([&](std::stop_token) {
+    for (int i = 0; i < kRequests; ++i) {
+      cdr::Encoder args;
+      args.PutString(payload);
+      giop::RequestHeader header;
+      header.request_id = static_cast<corba::ULong>(i + 1);
+      header.object_key = ref_.object_key;
+      header.operation = "echo";
+      if (!(*channel)
+               ->SendMessage(giop::BuildRequest(giop::kGiop10, header,
+                                                args.buffer().view())
+                                 .view())
+               .ok()) {
+        return;
+      }
+    }
+  });
+  ASSERT_TRUE(WaitUntil([&] { return servant_->calls() >= 64; }));
+  std::this_thread::sleep_for(milliseconds(100));  // let the replies pile up
+
+  const Stopwatch timer;
+  server_->Shutdown();
+  EXPECT_LT(timer.Elapsed(), seconds(5));
+  (*channel)->Close();  // releases the sender if its own writes are blocked
+  sender.join();
 }
 
 // Sharded-table storm: adopt trains and finish connections from many

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "common/thread.h"
 
@@ -125,6 +126,40 @@ TEST(NetworkTest, CloseUnblocksReader) {
   std::this_thread::sleep_for(milliseconds(20));
   (*client)->Close();
   reader.join();
+}
+
+// A bounded write on a full window fails with kDeadlineExceeded and
+// enqueues nothing: the reader sees the stream as if it was never tried.
+TEST(NetworkTest, WindowWaitBoundsAWriteOnAFullWindow) {
+  Network net(FastLink());
+  auto listener = net.Listen({"server", 9});
+  ASSERT_TRUE(listener.ok());
+  auto client = net.Connect("client", {"server", 9});
+  ASSERT_TRUE(client.ok());
+  auto server_sock = (*listener)->Accept();
+  ASSERT_TRUE(server_sock.ok());
+
+  const std::vector<std::uint8_t> fill(4 * 1024 * 1024, 0x11);  // the window
+  const std::span<const std::uint8_t> fill_part[] = {fill};
+  ASSERT_TRUE((*client)->SendV(fill_part).ok());
+
+  const std::uint8_t dropped[] = {0xDE, 0xAD};
+  const std::span<const std::uint8_t> dropped_part[] = {dropped};
+  const Stopwatch sw;
+  EXPECT_EQ((*client)->SendV(dropped_part, milliseconds(30)).code(),
+            ErrorCode::kDeadlineExceeded);
+  EXPECT_GE(sw.Elapsed(), milliseconds(25));
+
+  std::vector<std::uint8_t> got(fill.size());
+  ASSERT_TRUE((*server_sock)->RecvExact(got).ok());
+  EXPECT_EQ(got, fill);
+  const std::uint8_t sent[] = {0x42, 0x43};
+  const std::span<const std::uint8_t> sent_part[] = {sent};
+  ASSERT_TRUE((*client)->SendV(sent_part, milliseconds(30)).ok());
+  std::uint8_t next[2];
+  ASSERT_TRUE((*server_sock)->RecvExact(next).ok());
+  EXPECT_EQ(next[0], 0x42);
+  EXPECT_EQ(next[1], 0x43);
 }
 
 TEST(NetworkTest, RecvForTimesOut) {
