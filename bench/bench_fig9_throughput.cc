@@ -19,6 +19,7 @@
 #include <thread>
 
 #include "bench_util.h"
+#include "common/thread.h"
 #include "dacapo/session.h"
 
 namespace {
@@ -68,7 +69,7 @@ double MeasureMbps(const ModuleGraphSpec& graph, std::size_t packet_bytes,
 
   Result<std::unique_ptr<dacapo::Session>> rx_session(
       Status(InternalError("unset")));
-  std::thread accept_thread([&] {
+  Thread accept_thread([&] {
     // The paper's measuring A module: count and release.
     rx_session = acceptor.Accept(dacapo::AppAModule::DeliveryMode::kCountOnly);
   });

@@ -17,13 +17,21 @@
 //                           victim behind the backlog; that scheduler is
 //                           retired, and its figure from BENCH_PR9.json is
 //                           printed beside the measured one.
+//   dispatch_same_band_unequal the qos_mix shape: on 2 workers, a paced
+//                           High-band weight-8 victim with ~5 µs upcalls
+//                           against a High-band weight-3 flood with 200 µs
+//                           upcalls and 16 jobs in flight. Fairness charged
+//                           in servant time keeps the victim's p99 sojourn
+//                           inside its 1 ms tier; charged in bytes, the
+//                           flood's quantum covered its whole backlog.
 //   dispatch_rate_cap       a token-bucket-capped binding vs an uncapped
 //                           one — the cap must hold under pressure.
 //
 // The run exits non-zero when a DESIGN.md §13 floor fails: dispatch_equal
-// and dispatch_weighted Jain >= 0.9, and the flood victim's p99 at least
-// 5x under the recorded flat-scan figure. dispatch_rate_cap is reported,
-// not checked: in a short run its 64 KiB burst alone exceeds the cap.
+// and dispatch_weighted Jain >= 0.9, the flood victim's p99 at least 5x
+// under the recorded flat-scan figure, and the same-band unequal victim's
+// p99 sojourn at most 1000 µs. dispatch_rate_cap is reported, not
+// checked: in a short run its 64 KiB burst alone exceeds the cap.
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -119,32 +127,54 @@ constexpr double kFlatVictimP99Us = 33679.0;
 // DESIGN.md §13 acceptance floors.
 constexpr double kJainFloor = 0.9;
 constexpr double kFloodGainFloor = 5.0;
+// qos_mix's victim negotiates a 1000 µs bound (qos::RequireLatencyMicros).
+constexpr double kSameBandVictimP99CeilingUs = 1000.0;
 
-// One paced high-band victim against one flooding high-band aggressor.
-FloodResult RunFloodScenario(Duration run_for) {
+// A paced High-band victim against a flooding High-band aggressor.
+struct FloodShape {
+  std::size_t workers = 1;
+  Duration flood_work = microseconds(20);
+  std::uint32_t flood_weight = 1;
+  // Flood jobs queued or running at once; 0 floods without limit.
+  std::uint64_t flood_inflight = 0;
+  Duration victim_work = microseconds(20);
+  std::uint32_t victim_weight = 1;
+};
+
+FloodResult RunFloodScenario(const FloodShape& shape, Duration run_for) {
   giop::DispatchPool::Options options;
-  options.workers = 1;  // sharp contention: one upcall lane
+  options.workers = shape.workers;
   giop::DispatchPool pool(options);
 
-  const Duration work = microseconds(20);
-  CountingRunner flooder(work);
+  CountingRunner flooder(shape.flood_work);
   const std::uint64_t flooder_id = pool.AllocRunnerId();
-  LatencyRunner victim(work, 1 << 20);
+  LatencyRunner victim(shape.victim_work, 1 << 20);
   const std::uint64_t victim_id = pool.AllocRunnerId();
 
-  qos::SchedProfile high;
-  high.band = qos::SchedProfile::Band::kHigh;
+  qos::SchedProfile flood_profile;
+  flood_profile.band = qos::SchedProfile::Band::kHigh;
+  flood_profile.weight = shape.flood_weight;
+  qos::SchedProfile victim_profile = flood_profile;
+  victim_profile.weight = shape.victim_weight;
 
   std::atomic<bool> stop{false};
   Thread flood_thread([&](std::stop_token) {
     corba::ULong id = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      if (!pool.Submit(&flooder, flooder_id, high, MakeJob(id++))) return;
+      if (shape.flood_inflight != 0 &&
+          id - flooder.done() >= shape.flood_inflight) {
+        std::this_thread::sleep_for(microseconds(20));
+        continue;
+      }
+      if (!pool.Submit(&flooder, flooder_id, flood_profile, MakeJob(id++))) {
+        return;
+      }
     }
   });
   Thread victim_thread([&](std::stop_token) {
     while (!stop.load(std::memory_order_relaxed)) {
-      if (!pool.Submit(&victim, victim_id, high, MakeJob(victim.NextId()))) {
+      if (!pool.Submit(&victim, victim_id, victim_profile,
+                       MakeJob(victim.NextId()))) {
         return;
       }
       std::this_thread::sleep_for(microseconds(500));
@@ -285,7 +315,8 @@ int Run(int argc, char** argv) {
 
   double hier_p99 = 0;
   {  // --- flood isolation ---
-    const FloodResult hier = RunFloodScenario(run_for);
+    // Sharp contention: one upcall lane, equal weights and upcalls.
+    const FloodResult hier = RunFloodScenario(FloodShape{}, run_for);
     hier_p99 = hier.victim.p99_us;
     BenchRecord rh;
     rh.name = "dispatch_flood_victim_hier";
@@ -298,6 +329,30 @@ int Run(int argc, char** argv) {
                   Fmt("%.0f", rh.p999_us),
                   Fmt("recorded flat/hier p99 = %.1fx",
                       kFlatVictimP99Us / hier_p99)});
+  }
+
+  double unequal_p99 = 0;
+  {  // --- same band, unequal servant time: the qos_mix shape ---
+    const FloodResult unequal = RunFloodScenario(
+        FloodShape{.workers = 2,
+                   .flood_work = microseconds(200),
+                   .flood_weight = 3,
+                   .flood_inflight = 16,
+                   .victim_work = microseconds(5),
+                   .victim_weight = 8},
+        run_for);
+    unequal_p99 = unequal.victim.p99_us;
+    BenchRecord r;
+    r.name = "dispatch_same_band_unequal";
+    r.p50_us = unequal.victim.p50_us;
+    r.p99_us = unequal.victim.p99_us;
+    r.p999_us = unequal.victim.p999_us;
+    r.msgs_per_sec = unequal.victim_served / secs;
+    records.push_back(r);
+    table.AddRow({r.name, "-", Fmt("%.0f", r.p50_us), Fmt("%.0f", r.p99_us),
+                  Fmt("%.0f", r.p999_us),
+                  Fmt("victim sojourn, bound %.0f us",
+                      kSameBandVictimP99CeilingUs)});
   }
 
   {  // --- token-bucket rate cap holds under pressure ---
@@ -331,9 +386,9 @@ int Run(int argc, char** argv) {
 
   int failed = 0;
   auto check = [&failed](bool ok, const char* what, double got,
-                         double floor) {
-    std::printf("  %s %s: %.4f (floor %.1f)\n", ok ? "PASS" : "FAIL", what,
-                got, floor);
+                         double bound) {
+    std::printf("  %s %s: %.4f (bound %.1f)\n", ok ? "PASS" : "FAIL", what,
+                got, bound);
     if (!ok) ++failed;
   };
   check(equal_jain >= kJainFloor, "dispatch_equal jain", equal_jain,
@@ -343,6 +398,9 @@ int Run(int argc, char** argv) {
   const double flood_gain = kFlatVictimP99Us / hier_p99;
   check(flood_gain >= kFloodGainFloor, "flood victim flat/hier p99",
         flood_gain, kFloodGainFloor);
+  check(unequal_p99 <= kSameBandVictimP99CeilingUs,
+        "same-band unequal victim p99 us", unequal_p99,
+        kSameBandVictimP99CeilingUs);
   return failed == 0 ? 0 : 1;
 }
 

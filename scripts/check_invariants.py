@@ -121,6 +121,19 @@ NEW_RE = re.compile(r"\bnew\b\s+[A-Za-z_]")
 DELETE_RE = re.compile(r"\bdelete\b\s+[A-Za-z_*(]|\bdelete\[\]")
 
 
+def is_digit_separator(text: str, i: int) -> bool:
+    """True when the ' at text[i] is a C++14 digit separator (100'000).
+
+    A separator follows a digit of a number; a char literal never follows
+    an alphanumeric, except after an encoding prefix (L'x', u8'x'), which
+    starts with a letter rather than a digit.
+    """
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "_.'"):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments(text: str) -> str:
     """Blank out // and /* */ comments, KEEPING string literals.
 
@@ -140,7 +153,7 @@ def strip_comments(text: str) -> str:
             j = n if j == -1 else j + 2
             out.append("\n" * text.count("\n", i, j))
             i = j
-        elif c in "\"'":
+        elif c == '"' or (c == "'" and not is_digit_separator(text, i)):
             quote = c
             j = i + 1
             while j < n:
@@ -174,7 +187,7 @@ def strip_comments_and_strings(text: str) -> str:
             j = n if j == -1 else j + 2
             out.append("\n" * text.count("\n", i, j))
             i = j
-        elif c in "\"'":
+        elif c == '"' or (c == "'" and not is_digit_separator(text, i)):
             quote = c
             j = i + 1
             while j < n:
@@ -352,6 +365,12 @@ def check_no_broadcast_on_data_path(
         in_shutdown = False
         for back in range(lineno - 1, 0, -1):
             prev = lines[back - 1]
+            if "(" not in prev and re.search(r"\)\s*(?:const\s*)?{?\s*$", prev):
+                # The tail of a wrapped signature: read it from its "(" line.
+                first = back
+                while first > 1 and "(" not in lines[first - 1]:
+                    first -= 1
+                prev = " ".join(lines[first - 1 : back])
             m = re.search(r"\b([~\w]+)\s*\([^;]*\)\s*(?:const\s*)?(?:{)?\s*$", prev)
             if m and not re.match(
                 r"\s*(if|for|while|switch|catch|return)\b", prev

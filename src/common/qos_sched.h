@@ -8,6 +8,14 @@
 //   * Each band holds per-binding FIFO flows served by deficit round
 //     robin, so one binding's burst cannot reorder or starve its
 //     neighbours inside a band. A flow may carry a token-bucket rate cap.
+//   * Every item carries two sizes. Its `cost` times its flow's `price`,
+//     in the unit of the quantum the owner passes at construction, drives
+//     the DRR deficits and the WFQ passes; its `bytes` feed the token
+//     bucket, so a rate cap stays a byte rate. The price is read when the
+//     item is served, so re-pricing a flow re-prices its queue: the
+//     dispatch pool queues each job as one unit priced at its binding's
+//     measured average servant time (ns), and fairness is in the resource
+//     the workers spend.
 //   * Each flow runs CoDel-style AQM (Nichols & Jacobson): when the head
 //     sojourn stays above `target` for a full `interval`, the flow enters
 //     a drop state shedding its own load at an increasing rate until the
@@ -193,9 +201,6 @@ inline constexpr std::size_t kBands = 3;
 // saturation yet Low keeps 1/13 of the service — an anti-starvation floor
 // a strict-priority scan does not have.
 inline constexpr std::array<std::uint32_t, kBands> kBandWeights{8, 4, 1};
-// DRR quantum granted per flow per round (scaled by the flow weight).
-inline constexpr std::uint32_t kQuantumBytes = 4096;
-
 constexpr std::size_t BandIndex(Band band) {
   return static_cast<std::size_t>(band);
 }
@@ -217,6 +222,10 @@ struct FlowSnapshot {
   std::uint64_t dequeued = 0;
   std::uint64_t dropped = 0;
   std::size_t queued = 0;
+  // What one unit of the flow's cost is charged, in the quantum's unit.
+  // The dispatch pool prices a binding's jobs at its average servant
+  // time, in ns.
+  std::uint64_t price = 1;
 };
 
 struct BandSnapshot {
@@ -245,12 +254,18 @@ class BandScheduler {
     Duration sojourn{};
   };
 
-  explicit BandScheduler(CodelParams codel = {}) : codel_(codel) {}
+  // `quantum` is the cost a flow of weight 1 may spend per DRR round, in
+  // the caller's cost unit.
+  explicit BandScheduler(std::uint64_t quantum, CodelParams codel = {})
+      : quantum_(quantum == 0 ? 1 : quantum), codel_(codel) {}
 
   // Appends to `band` under flow `flow_id`, creating the flow from
-  // `profile` on first sight. `bytes` is the scheduling cost.
+  // `profile` on first sight. DRR and WFQ charge the item `cost` times the
+  // flow's price (in quantum units); the flow's token bucket meters
+  // `bytes`.
   void Enqueue(Band band, std::uint64_t flow_id, const FlowProfile& profile,
-               T value, std::size_t bytes, TimePoint now) {
+               T value, std::uint64_t cost, std::size_t bytes,
+               TimePoint now) {
     BandState& b = bands_[BandIndex(band)];
     auto [it, inserted] = b.flows.try_emplace(flow_id);
     Flow& f = it->second;
@@ -258,7 +273,7 @@ class BandScheduler {
       f.weight = profile.weight == 0 ? 1 : profile.weight;
       f.bucket.Configure(profile.rate_bytes_per_sec, profile.burst_bytes, now);
     }
-    f.q.push_back(Item{std::move(value), bytes, now});
+    f.q.push_back(Item{std::move(value), cost, bytes, now});
     ++f.enqueued;
     ++b.stats_enqueued;
     if (!f.in_ring) {
@@ -295,6 +310,16 @@ class BandScheduler {
     if (best == kBands) return std::nullopt;  // every band throttled
     vtime_ = best_pass;
     return ServeBand(best, now, dropped, drain);
+  }
+
+  // Sets what one unit of cost is charged for `flow_id`'s items in
+  // `band`, queued ones included (the price is read at service). A flow
+  // starts at price 1; an unknown flow is ignored.
+  void SetPrice(Band band, std::uint64_t flow_id, std::uint64_t price) {
+    auto& flows = bands_[BandIndex(band)].flows;
+    if (auto it = flows.find(flow_id); it != flows.end()) {
+      it->second.price = price == 0 ? 1 : price;
+    }
   }
 
   // Earliest instant a currently-throttled item could become eligible;
@@ -376,19 +401,22 @@ class BandScheduler {
       s.sojourn_max_us = b.sojourn_us.max();
       for (const auto& [flow_id, flow] : b.flows) {
         s.flows.push_back(FlowSnapshot{flow_id, flow.enqueued, flow.dequeued,
-                                       flow.dropped, flow.q.size()});
+                                       flow.dropped, flow.q.size(),
+                                       flow.price});
       }
     }
     return out;
   }
 
  private:
-  // Virtual-time scale: pass advances by bytes * kPassScale / weight, so
-  // weight ratios up to kPassScale resolve without truncating to zero.
+  // Virtual-time scale: a band's pass advances by cost * kPassScale /
+  // band weight, so weight ratios up to kPassScale resolve without
+  // truncating to zero.
   static constexpr std::uint64_t kPassScale = 256;
 
   struct Item {
     T value;
+    std::uint64_t cost = 0;
     std::size_t bytes = 0;
     TimePoint enqueued_at{};
   };
@@ -401,6 +429,7 @@ class BandScheduler {
     bool fresh = true;  // next head-of-ring visit grants a quantum
     TokenBucket bucket;
     CodelState codel;
+    std::uint64_t price = 1;  // charge per unit of item cost
     std::uint64_t enqueued = 0;
     std::uint64_t dequeued = 0;
     std::uint64_t dropped = 0;
@@ -435,25 +464,33 @@ class BandScheduler {
 
   // Classic DRR over the band's active ring. The caller established (via
   // Eligible) that some flow is servable, so the loop terminates: every
-  // pass either serves, drops, retires an empty flow, or rotates while
-  // granting quanta — and deficits grow monotonically until a head fits.
+  // visit serves, drops, retires an empty flow, or rotates; and once a
+  // whole ring of rotations has passed, GrantIdleRounds makes the next
+  // round serve.
   std::optional<Served> ServeBand(std::size_t index, TimePoint now,
                                   std::vector<Served>* dropped, bool drain) {
     BandState& b = bands_[index];
-    // Generous hard bound against a pathological quantum/size ratio.
-    std::size_t steps = 64 * (b.ring.size() + 1) + 4096;
-    while (steps-- > 0 && !b.ring.empty()) {
+    // Rotations in a row with nothing served, shed or retired.
+    std::size_t idle = 0;
+    auto rotate = [&](std::uint64_t flow_id) {
+      b.ring.pop_front();
+      b.ring.push_back(flow_id);
+      if (++idle < b.ring.size()) return true;
+      idle = 0;
+      return GrantIdleRounds(b, drain);
+    };
+    while (!b.ring.empty()) {
       const std::uint64_t flow_id = b.ring.front();
       Flow& f = b.flows[flow_id];
       if (f.q.empty()) {
         Retire(b, f);
+        idle = 0;
         continue;
       }
       if (!drain) {
         f.bucket.Refill(now);
         if (!f.bucket.Ready()) {  // shaped flow waiting on tokens
-          b.ring.pop_front();
-          b.ring.push_back(flow_id);
+          if (!rotate(flow_id)) break;
           continue;
         }
       }
@@ -471,18 +508,19 @@ class BandScheduler {
         ++f.dropped;
         ++b.stats_dropped;
         DeactivateOne(b);
+        idle = 0;
       }
       if (f.q.empty()) continue;  // everything shed: retire on next visit
       if (f.fresh) {
-        f.deficit += static_cast<std::int64_t>(kQuantumBytes) *
-                     static_cast<std::int64_t>(f.weight);
+        f.deficit += Grant(f);
         f.fresh = false;
       }
       Item& head = f.q.front();
-      if (static_cast<std::int64_t>(head.bytes) <= f.deficit) {
+      const std::uint64_t cost = head.cost * f.price;
+      if (static_cast<std::int64_t>(cost) <= f.deficit) {
         Served out{std::move(head.value), flow_id, head.bytes,
                    SojournOf(head, now)};
-        f.deficit -= static_cast<std::int64_t>(out.bytes);
+        f.deficit -= static_cast<std::int64_t>(cost);
         f.bucket.Charge(out.bytes);
         f.q.pop_front();  // invalidates `head`
         ++f.dequeued;
@@ -492,16 +530,43 @@ class BandScheduler {
             std::chrono::duration_cast<std::chrono::microseconds>(out.sojourn)
                 .count()));
         if (f.q.empty()) Retire(b, f);
-        b.pass += out.bytes * kPassScale / kBandWeights[index];
+        b.pass += cost * kPassScale / kBandWeights[index];
         DeactivateOne(b);
         return out;
       }
       // Head exceeds the deficit: next round, next quantum.
-      b.ring.pop_front();
-      b.ring.push_back(flow_id);
       f.fresh = true;
+      if (!rotate(flow_id)) break;
     }
     return std::nullopt;
+  }
+
+  std::int64_t Grant(const Flow& f) const {
+    return static_cast<std::int64_t>(quantum_) *
+           static_cast<std::int64_t>(f.weight);
+  }
+
+  // Every flow in the ring was just visited and rotated: from here each
+  // round only grants every ready flow one more quantum until a head
+  // fits. Grants all but the last of the rounds the closest flow needs
+  // in one step, which is what those rounds would do, so a head costing
+  // thousands of quanta is served in the next round rather than after
+  // thousands of visits. False when no flow in the ring is ready.
+  bool GrantIdleRounds(BandState& b, bool drain) {
+    std::int64_t rounds = std::numeric_limits<std::int64_t>::max();
+    for (std::uint64_t flow_id : b.ring) {
+      const Flow& f = b.flows[flow_id];
+      if (!drain && !f.bucket.Ready()) continue;
+      const std::int64_t missing =
+          static_cast<std::int64_t>(f.q.front().cost * f.price) - f.deficit;
+      rounds = std::min(rounds, (missing + Grant(f) - 1) / Grant(f));
+    }
+    if (rounds == std::numeric_limits<std::int64_t>::max()) return false;
+    for (std::uint64_t flow_id : b.ring) {
+      Flow& f = b.flows[flow_id];
+      if (drain || f.bucket.Ready()) f.deficit += (rounds - 1) * Grant(f);
+    }
+    return true;
   }
 
   static Duration SojournOf(const Item& item, TimePoint now) {
@@ -521,6 +586,7 @@ class BandScheduler {
     if (queued_ > 0) --queued_;
   }
 
+  std::uint64_t quantum_;
   CodelParams codel_;
   std::array<BandState, kBands> bands_{};
   std::uint64_t vtime_ = 0;  // pass of the last band served

@@ -1,8 +1,31 @@
 #include "giop/dispatch_pool.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace cool::giop {
+
+namespace {
+
+std::uint64_t Nanos(Duration d) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<nanoseconds>(d).count());
+}
+
+// Folds one upcall's servant time into a running average (EWMA, gain
+// 1/8). In ns: µs would round the average of a short upcall to 0. A
+// sample counts for at most twice the average: a worker preempted
+// mid-upcall reads milliseconds for a 10 µs upcall, and uncapped, one
+// such reading would overcharge the binding's next few dozen jobs; a
+// binding whose upcalls really grow still gains an eighth per job. Never
+// returns 0, which marks "no sample yet".
+std::uint64_t Average(std::uint64_t average_ns, Duration sample) {
+  const std::uint64_t ns = std::max<std::uint64_t>(Nanos(sample), 1);
+  if (average_ns == 0) return ns;
+  return (7 * average_ns + std::min(ns, 2 * average_ns)) / 8;
+}
+
+}  // namespace
 
 std::size_t DefaultWorkerThreads() noexcept {
   return static_cast<std::size_t>(HardwareConcurrency());
@@ -15,7 +38,8 @@ DispatchPool::DispatchPool(std::size_t workers, std::size_t queue_capacity)
 DispatchPool::DispatchPool(const Options& options)
     : worker_count_(options.workers == 0 ? 1 : options.workers),
       options_(options),
-      sched_(sched::CodelParams{.enabled = options.codel_enabled,
+      sched_(Nanos(kQuantum),
+             sched::CodelParams{.enabled = options.codel_enabled,
                                 .target = options.codel_target,
                                 .interval = options.codel_interval}) {
   workers_.reserve(worker_count_);
@@ -40,12 +64,15 @@ bool DispatchPool::Submit(DispatchRunner* runner, std::uint64_t runner_id,
   }
   auto it = runners_.find(runner_id);
   if (closed_ || it == runners_.end() || it->second.detaching) return false;
-  const std::size_t cost = kJobBaseCost + job.msg.body().size();
+  const std::size_t bytes = kJobBaseCost + job.msg.body().size();
   sched::FlowProfile flow;
   flow.weight = profile.weight;
   flow.rate_bytes_per_sec = profile.rate_bytes_per_sec;
+  // One unit per job, priced at the binding's average servant time.
   sched_.Enqueue(profile.band, runner_id, flow,
-                 Entry{runner, runner_id, std::move(job)}, cost, Now());
+                 Entry{runner, runner_id, profile.band, std::move(job)},
+                 /*cost=*/1, bytes, Now());
+  sched_.SetPrice(profile.band, runner_id, ChargeFor(it->second));
   job_ready_.NotifyOne();
   return true;
 }
@@ -128,11 +155,23 @@ DispatchPool::Next DispatchPool::NextDecision() {
   }
 }
 
-void DispatchPool::DrainRunnerWaiters(std::uint64_t runner_id) {
+std::uint64_t DispatchPool::ChargeFor(const RunnerState& runner) const {
+  if (runner.service_ns != 0) return runner.service_ns;
+  if (service_ns_ != 0) return service_ns_;
+  return Nanos(kQuantum);  // nothing has run yet
+}
+
+void DispatchPool::DrainRunnerWaiters(const Entry& entry,
+                                      std::optional<Duration> service) {
   MutexLock lock(mu_);
-  if (--runners_.find(runner_id)->second.running == 0) {
-    runner_idle_.NotifyAll();
+  RunnerState& runner = runners_.find(entry.runner_id)->second;
+  if (service.has_value()) {
+    runner.service_ns = Average(runner.service_ns, *service);
+    service_ns_ = Average(service_ns_, *service);
+    // Re-prices the jobs the binding has queued in this band too.
+    sched_.SetPrice(entry.band, entry.runner_id, runner.service_ns);
   }
+  if (--runner.running == 0) runner_idle_.NotifyAll();
 }
 
 void DispatchPool::WorkerLoop() {
@@ -144,20 +183,22 @@ void DispatchPool::WorkerLoop() {
     for (Entry& shed : next.dropped) {
       shed.runner->DropDispatchJob(shed.job);
       jobs_shed_.fetch_add(1, std::memory_order_relaxed);
-      DrainRunnerWaiters(shed.runner_id);
+      DrainRunnerWaiters(shed);
     }
     if (!next.entry.has_value()) {
       if (next.dropped.empty()) return;  // closed + drained
       continue;
     }
+    const TimePoint start = Now();
     {
       // Servant upcalls share this fixed worker pool: an unbounded wait
       // in one starves every queued dispatch, so the detector flags them.
       deadlock::ScopedContext ctx(deadlock::Context::kDispatchUpcall);
       next.entry->runner->RunDispatchJob(next.entry->job);
     }
+    const Duration service = Now() - start;
     jobs_run_.fetch_add(1, std::memory_order_relaxed);
-    DrainRunnerWaiters(next.entry->runner_id);
+    DrainRunnerWaiters(*next.entry, service);
   }
 }
 
@@ -176,6 +217,11 @@ std::string DispatchPool::DescribeStats() const {
        << " p99=" << cls.sojourn_p99_us << " p99.9=" << cls.sojourn_p999_us
        << " max=" << cls.sojourn_max_us << "} bindings=" << cls.flows.size()
        << "\n";
+    for (const sched::FlowSnapshot& flow : cls.flows) {
+      os << "  binding " << flow.id << ": queued=" << flow.queued
+         << " dispatched=" << flow.dequeued << " dropped=" << flow.dropped
+         << " service_us=" << flow.price / 1000 << "\n";
+    }
   }
   return os.str();
 }

@@ -5,12 +5,16 @@
 // per-binding queues — and run on a fixed set of workers, so ten thousand
 // idle connections cost zero dispatch threads and a bursty tenant cannot
 // starve its neighbours (paper §4.2: the extension's QoS semantics survive
-// server-side concurrency). The strict-priority scan it replaced is
-// retired; its flood-victim figures are recorded in BENCH_PR9.json. Each
-// GiopServer participates as a DispatchRunner
-// under a runner id; detaching a runner is a barrier that removes its
-// queued jobs and waits out its in-flight upcalls, making connection
-// teardown safe while the pool lives on.
+// server-side concurrency). The scheduler's fairness unit is servant
+// time: the pool times every upcall, keeps a running average per binding,
+// and prices the binding's jobs, queued ones included, at that average,
+// so a binding whose upcalls take 200 µs spends its quantum on one job,
+// not on sixteen.
+// The strict-priority scan it replaced is retired; its flood-victim
+// figures are recorded in BENCH_PR9.json. Each GiopServer participates as
+// a DispatchRunner under a runner id; detaching a runner is a barrier that
+// removes its queued jobs and waits out its in-flight upcalls, making
+// connection teardown safe while the pool lives on.
 #pragma once
 
 #include <array>
@@ -72,9 +76,13 @@ class DispatchPool {
     Duration codel_interval = milliseconds(100);
   };
 
-  // Scheduling cost of a job: a floor per dispatch (the upcall overhead)
-  // plus its argument bytes, so both job count and payload size weigh in.
+  // Byte size of a job for rate caps (the token bucket): a floor per
+  // dispatch plus its argument bytes.
   static constexpr std::size_t kJobBaseCost = 512;
+  // Servant time a binding of weight 1 may spend per DRR round: a tenth
+  // of the tightest latency tier (1 ms, qos::ClassifyForScheduling's
+  // weight 8), so one round of a weight-8 binding fits inside its bound.
+  static constexpr Duration kQuantum = microseconds(100);
 
   explicit DispatchPool(std::size_t workers = DefaultWorkerThreads(),
                         std::size_t queue_capacity = 1024);
@@ -119,26 +127,32 @@ class DispatchPool {
   }
 
   // Per-band counters, sojourn percentiles and per-binding rows (High,
-  // Normal, Low order), straight from the scheduler.
+  // Normal, Low order), straight from the scheduler. A row's `price` is
+  // what each of the binding's jobs is charged: its average servant time
+  // in ns.
   std::array<sched::BandSnapshot, sched::kBands> StatsSnapshot() const;
-  // Human-readable stats line per band, in the DescribeStats idiom of the
-  // Da CaPo modules.
+  // Human-readable stats: a line per band, then one per binding with its
+  // charged service time, in the DescribeStats idiom of the Da CaPo
+  // modules.
   std::string DescribeStats() const;
 
  private:
   struct Entry {
     DispatchRunner* runner = nullptr;
     std::uint64_t runner_id = 0;
+    sched::Band band = sched::Band::kNormal;
     DispatchJob job;
   };
 
   using Scheduler = sched::BandScheduler<Entry>;
 
-  // A runner attached to the pool: jobs of it currently mid-upcall or
-  // mid-drop (never more than the queue capacity plus the workers), and
-  // whether DetachRunner has begun (refuses new jobs). Kept to 8 bytes:
-  // every open connection holds one.
+  // A runner attached to the pool: the running average of its upcalls'
+  // servant time, jobs of it currently mid-upcall or mid-drop (never more
+  // than the queue capacity plus the workers), and whether DetachRunner
+  // has begun (refuses new jobs). Kept to 16 bytes: every open connection
+  // holds one.
   struct RunnerState {
+    std::uint64_t service_ns = 0;  // 0 until its first upcall finishes
     std::uint32_t running = 0;
     bool detaching = false;
   };
@@ -155,8 +169,15 @@ class DispatchPool {
   // Pops the next decision and marks every popped runner busy, atomically
   // (the detach barrier depends on pop+mark being one step).
   Next NextDecision();
-  // Marks the entry's runner idle again and wakes detach waiters.
-  void DrainRunnerWaiters(std::uint64_t runner_id);
+  // Marks the entry's runner idle again and wakes detach waiters. An
+  // upcall's `service` time feeds the runner's and the pool's averages,
+  // and the runner's average re-prices its flow.
+  void DrainRunnerWaiters(const Entry& entry,
+                          std::optional<Duration> service = std::nullopt);
+  // What the scheduler charges each of a runner's jobs, in ns of servant
+  // time: its average, else the pool's, else one quantum.
+  std::uint64_t ChargeFor(const RunnerState& runner) const
+      COOL_REQUIRES(mu_);
 
   std::size_t worker_count_ = 0;
   Options options_;
@@ -174,6 +195,9 @@ class DispatchPool {
   std::unordered_map<std::uint64_t, RunnerState> runners_
       COOL_GUARDED_BY(mu_);
   std::uint64_t next_runner_id_ COOL_GUARDED_BY(mu_) = 1;
+  // Average servant time over every binding, ns: the charge of a binding
+  // with no finished upcall yet. 0 until the first upcall finishes.
+  std::uint64_t service_ns_ COOL_GUARDED_BY(mu_) = 0;
   // Started in the constructor, joined only by Close().
   std::vector<Thread> workers_;
 };

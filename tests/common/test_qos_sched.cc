@@ -18,7 +18,8 @@ namespace {
 using Sched = BandScheduler<int>;
 
 constexpr TimePoint kT0 = TimePoint{} + seconds(10);
-constexpr std::size_t kQ = kQuantumBytes;
+// DRR quantum; the items below cost what they weigh in bytes.
+constexpr std::size_t kQ = 4096;
 
 CodelParams Codel(Duration target, Duration interval) {
   return CodelParams{.enabled = true, .target = target, .interval = interval};
@@ -34,9 +35,9 @@ int MustDequeue(Sched& tree, TimePoint now) {
 }
 
 TEST(QosSchedTest, SingleFlowIsFifo) {
-  Sched tree;
+  Sched tree(kQ);
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(Band::kNormal, 7, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 7, FlowProfile{}, i, 10, 10, kT0);
   }
   EXPECT_EQ(tree.queued(), 3u);
   EXPECT_EQ(MustDequeue(tree, kT0), 1);
@@ -47,12 +48,12 @@ TEST(QosSchedTest, SingleFlowIsFifo) {
 }
 
 TEST(QosSchedTest, DrrAlternatesEqualWeightFlows) {
-  Sched tree;
+  Sched tree(kQ);
   // Flow 1 items are 10x, flow 2 items are 20x; every item costs one
   // quantum, so service strictly alternates.
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 10 + i, kQ, kT0);
-    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 20 + i, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 10 + i, kQ, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 20 + i, kQ, kQ, kT0);
   }
   std::vector<int> order;
   for (int i = 0; i < 6; ++i) order.push_back(MustDequeue(tree, kT0));
@@ -60,12 +61,12 @@ TEST(QosSchedTest, DrrAlternatesEqualWeightFlows) {
 }
 
 TEST(QosSchedTest, DrrFlowWeightScalesQuantum) {
-  Sched tree;
+  Sched tree(kQ);
   FlowProfile heavy;
   heavy.weight = 2;
   for (int i = 0; i < 8; ++i) {
-    tree.Enqueue(Band::kNormal, 1, heavy, 1, kQ, kT0);          // weight 2
-    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);  // weight 1
+    tree.Enqueue(Band::kNormal, 1, heavy, 1, kQ, kQ, kT0);  // weight 2
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kQ, kT0);
   }
   int flow1 = 0;
   for (int i = 0; i < 9; ++i) {
@@ -76,17 +77,17 @@ TEST(QosSchedTest, DrrFlowWeightScalesQuantum) {
 }
 
 TEST(QosSchedTest, DrrQuantumAccountingIsByteFair) {
-  Sched tree;
+  Sched tree(kQ);
   // Flow 1 sends 3-quantum items, flow 2 sends 1-quantum items: deficits
   // accumulate across rounds, so *bytes* equalize, not item counts. Equal
   // byte backlogs (48 quanta each) keep both flows busy for the whole run
   // — a flow that empties retires and forfeits its deficit, which would
   // skew the tally toward the survivor.
   for (int i = 0; i < 16; ++i) {
-    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, 3 * kQ, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, 3 * kQ, 3 * kQ, kT0);
   }
   for (int i = 0; i < 48; ++i) {
-    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kQ, kT0);
   }
   std::int64_t bytes1 = 0;
   std::int64_t bytes2 = 0;
@@ -102,11 +103,11 @@ TEST(QosSchedTest, DrrQuantumAccountingIsByteFair) {
 }
 
 TEST(QosSchedTest, WfqClassWeightsShareService) {
-  Sched tree;
+  Sched tree(kQ);
   for (int i = 0; i < 12; ++i) {
-    tree.Enqueue(Band::kHigh, 1, FlowProfile{}, 1, kQ, kT0);
-    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);
-    tree.Enqueue(Band::kLow, 3, FlowProfile{}, 3, kQ, kT0);
+    tree.Enqueue(Band::kHigh, 1, FlowProfile{}, 1, kQ, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kQ, kT0);
+    tree.Enqueue(Band::kLow, 3, FlowProfile{}, 3, kQ, kQ, kT0);
   }
   int served[4] = {};
   for (int i = 0; i < 13; ++i) ++served[MustDequeue(tree, kT0)];
@@ -117,9 +118,9 @@ TEST(QosSchedTest, WfqClassWeightsShareService) {
 }
 
 TEST(QosSchedTest, ActivationGrantsNoCatchUpCredit) {
-  Sched tree;
+  Sched tree(kQ);
   for (int i = 0; i < 20; ++i) {
-    tree.Enqueue(Band::kHigh, 1, FlowProfile{}, 1, kQ, kT0);
+    tree.Enqueue(Band::kHigh, 1, FlowProfile{}, 1, kQ, kQ, kT0);
   }
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(MustDequeue(tree, kT0), 1);
@@ -128,7 +129,7 @@ TEST(QosSchedTest, ActivationGrantsNoCatchUpCredit) {
   // joins at the current virtual time: the 8:4 ratio from here, not a
   // burst of Normal until its pass catches up.
   for (int i = 0; i < 4; ++i) {
-    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, kQ, kQ, kT0);
   }
   std::vector<int> order;
   for (int i = 0; i < 8; ++i) order.push_back(MustDequeue(tree, kT0));
@@ -136,12 +137,12 @@ TEST(QosSchedTest, ActivationGrantsNoCatchUpCredit) {
 }
 
 TEST(QosSchedTest, FlowTokenBucketShapes) {
-  Sched tree;
+  Sched tree(kQ);
   FlowProfile shaped;
   shaped.rate_bytes_per_sec = 1000;
   shaped.burst_bytes = 100;
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(Band::kNormal, 1, shaped, i, 100, kT0);
+    tree.Enqueue(Band::kNormal, 1, shaped, i, 100, 100, kT0);
   }
   // Burst covers the first item; the bucket may go one item negative, so
   // the second is served too; the third must wait for tokens.
@@ -156,12 +157,12 @@ TEST(QosSchedTest, FlowTokenBucketShapes) {
 }
 
 TEST(QosSchedTest, DrainBypassesShaping) {
-  Sched tree;
+  Sched tree(kQ);
   FlowProfile shaped;
   shaped.rate_bytes_per_sec = 1;  // 1 B/s: effectively frozen
   shaped.burst_bytes = 1;
   for (int i = 1; i <= 3; ++i) {
-    tree.Enqueue(Band::kNormal, 1, shaped, i, 100, kT0);
+    tree.Enqueue(Band::kNormal, 1, shaped, i, 100, 100, kT0);
   }
   EXPECT_EQ(MustDequeue(tree, kT0), 1);  // burst covers one (goes negative)
   EXPECT_FALSE(tree.Dequeue(kT0, nullptr).has_value());
@@ -171,9 +172,9 @@ TEST(QosSchedTest, DrainBypassesShaping) {
 }
 
 TEST(QosSchedTest, CodelEntersDropStateAfterInterval) {
-  Sched tree(Codel(milliseconds(5), milliseconds(100)));
+  Sched tree(kQ, Codel(milliseconds(5), milliseconds(100)));
   for (int i = 1; i <= 10; ++i) {
-    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, 10, kT0);
   }
 
   // Sojourn above target starts the interval clock but nothing drops yet.
@@ -197,9 +198,9 @@ TEST(QosSchedTest, CodelEntersDropStateAfterInterval) {
 }
 
 TEST(QosSchedTest, CodelExitsWhenSojournDips) {
-  Sched tree(Codel(milliseconds(5), milliseconds(100)));
+  Sched tree(kQ, Codel(milliseconds(5), milliseconds(100)));
   for (int i = 1; i <= 10; ++i) {
-    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, 10, kT0);
   }
   std::vector<Sched::Served> dropped;
   (void)tree.Dequeue(kT0 + milliseconds(10), &dropped);   // start clock
@@ -212,7 +213,7 @@ TEST(QosSchedTest, CodelExitsWhenSojournDips) {
   }
   const TimePoint t1 = kT0 + milliseconds(200);
   for (int i = 100; i < 105; ++i) {
-    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, t1);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, 10, t1);
   }
   dropped.clear();
   for (int i = 100; i < 105; ++i) {
@@ -224,9 +225,9 @@ TEST(QosSchedTest, CodelExitsWhenSojournDips) {
 }
 
 TEST(QosSchedTest, RemoveIfCancelsQueuedItems) {
-  Sched tree;
+  Sched tree(kQ);
   for (int i = 1; i <= 4; ++i) {
-    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, i, 10, 10, kT0);
   }
   const std::size_t removed =
       tree.RemoveIf([](std::uint64_t, int v) { return v % 2 == 0; });
@@ -241,9 +242,9 @@ TEST(QosSchedTest, RemoveIfCancelsQueuedItems) {
 }
 
 TEST(QosSchedTest, RemoveFlowOnlyWhenIdle) {
-  Sched tree;
+  Sched tree(kQ);
   const std::size_t low = BandIndex(Band::kLow);
-  tree.Enqueue(Band::kLow, 1, FlowProfile{}, 1, 10, kT0);
+  tree.Enqueue(Band::kLow, 1, FlowProfile{}, 1, 10, 10, kT0);
   tree.RemoveFlow(Band::kLow, 1);  // queued: must be a no-op
   EXPECT_EQ(tree.Snapshot()[low].flows.size(), 1u);
   (void)MustDequeue(tree, kT0);
@@ -252,9 +253,9 @@ TEST(QosSchedTest, RemoveFlowOnlyWhenIdle) {
 }
 
 TEST(QosSchedTest, SnapshotReportsCountsAndSojourns) {
-  Sched tree;
+  Sched tree(kQ);
   for (int i = 0; i < 5; ++i) {
-    tree.Enqueue(Band::kHigh, 42, FlowProfile{}, i, 10, kT0);
+    tree.Enqueue(Band::kHigh, 42, FlowProfile{}, i, 10, 10, kT0);
   }
   (void)MustDequeue(tree, kT0 + milliseconds(3));
   (void)MustDequeue(tree, kT0 + milliseconds(3));
@@ -277,6 +278,80 @@ TEST(QosSchedTest, SnapshotReportsCountsAndSojourns) {
   EXPECT_EQ(snap[BandIndex(Band::kLow)].enqueued, 0u);
 }
 
+TEST(QosSchedTest, CostDrivesDrrAndBytesDriveTheBucket) {
+  Sched tree(kQ);
+  // Equal bytes, unequal cost: flow 2's items cost 3 quanta, so DRR serves
+  // flow 1 three times per flow-2 item, where a byte charge would
+  // alternate.
+  for (int i = 0; i < 6; ++i) {
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, kQ, 10, kT0);
+  }
+  for (int i = 0; i < 2; ++i) {
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, 3 * kQ, 10, kT0);
+  }
+  std::vector<int> order;
+  for (int i = 0; i < 8; ++i) order.push_back(MustDequeue(tree, kT0));
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 1, 2, 1, 1, 1, 2}));
+
+  // A 1000 B/s cap meters the 100 bytes of each item, not its cost of 10
+  // quanta: the third item waits 100 ms, not 41 s.
+  Sched capped(kQ);
+  FlowProfile shaped;
+  shaped.rate_bytes_per_sec = 1000;
+  shaped.burst_bytes = 100;
+  for (int i = 1; i <= 3; ++i) {
+    capped.Enqueue(Band::kNormal, 1, shaped, i, 10 * kQ, 100, kT0);
+  }
+  EXPECT_EQ(MustDequeue(capped, kT0), 1);
+  EXPECT_EQ(MustDequeue(capped, kT0), 2);
+  EXPECT_FALSE(capped.Dequeue(kT0, nullptr).has_value());
+  EXPECT_EQ(capped.NextReadyTime(kT0), kT0 + milliseconds(100));
+  EXPECT_EQ(MustDequeue(capped, kT0 + milliseconds(100)), 3);
+}
+
+TEST(QosSchedTest, PriceAppliesToQueuedItems) {
+  Sched tree(kQ);
+  for (int i = 0; i < 6; ++i) {
+    tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, 1, 10, kT0);
+    tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, 1, 10, kT0);
+  }
+  // Items of one unit each: priced at one quantum, the flows alternate.
+  tree.SetPrice(Band::kNormal, 1, kQ);
+  tree.SetPrice(Band::kNormal, 2, kQ);
+  EXPECT_EQ(MustDequeue(tree, kT0), 1);
+  EXPECT_EQ(MustDequeue(tree, kT0), 2);
+  // Re-pricing flow 2 at 3 quanta re-prices the items it already queued.
+  tree.SetPrice(Band::kNormal, 2, 3 * kQ);
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) order.push_back(MustDequeue(tree, kT0));
+  EXPECT_EQ(order, (std::vector<int>{1, 1, 1, 2}));
+  const BandSnapshot normal = tree.Snapshot()[BandIndex(Band::kNormal)];
+  for (const FlowSnapshot& flow : normal.flows) {
+    EXPECT_EQ(flow.price, flow.id == 2 ? 3 * kQ : kQ);
+  }
+  tree.SetPrice(Band::kHigh, 2, kQ);  // no such flow in that band
+  EXPECT_TRUE(tree.Snapshot()[BandIndex(Band::kHigh)].flows.empty());
+}
+
+// A head that needs thousands of quanta is served by the first Dequeue:
+// the rounds in which every flow would only gain a quantum are granted in
+// one step. A Dequeue that returned nothing here would leave a dispatch
+// worker asleep with the job queued.
+TEST(QosSchedTest, HeadCostingManyQuantaIsServedAtOnce) {
+  Sched tree(kQ);
+  tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, 10'000 * kQ, 10, kT0);
+  EXPECT_EQ(MustDequeue(tree, kT0), 1);
+
+  // With a neighbour, the skipped rounds grant both flows alike: the
+  // cheaper head goes first, and the dearer one keeps the credit it
+  // earned meanwhile.
+  tree.Enqueue(Band::kNormal, 1, FlowProfile{}, 1, 10'000 * kQ, 10, kT0);
+  tree.Enqueue(Band::kNormal, 2, FlowProfile{}, 2, 5'000 * kQ, 10, kT0);
+  EXPECT_EQ(MustDequeue(tree, kT0), 2);
+  EXPECT_EQ(MustDequeue(tree, kT0), 1);
+  EXPECT_TRUE(tree.empty());
+}
+
 // Golden order: a seeded mix of enqueues, dequeues, cancels and flow
 // removals over the three bands (weights 8/4/1, quantum 4096, CoDel on at
 // 2 ms / 20 ms), twelve flows of weights 1..8 with two rate-capped. Every
@@ -293,7 +368,7 @@ struct GoldenRun {
 };
 
 GoldenRun RunGoldenOrder(std::uint64_t seed) {
-  Sched tree(Codel(milliseconds(2), milliseconds(20)));
+  Sched tree(kQ, Codel(milliseconds(2), milliseconds(20)));
   constexpr int kFlows = 12;
   auto band_of = [](int f) { return static_cast<Band>(f % 3); };
   auto profile_of = [](int f) {
@@ -343,7 +418,7 @@ GoldenRun RunGoldenOrder(std::uint64_t seed) {
       const int f = static_cast<int>(rng.NextBelow(kFlows));
       const std::size_t bytes = 512 + rng.NextBelow(8192);
       tree.Enqueue(band_of(f), flow_id(f), profile_of(f), next_value++, bytes,
-                   now);
+                   bytes, now);
     } else if (op < 94) {
       std::vector<Sched::Served> drops;
       auto s = tree.Dequeue(now, &drops);

@@ -1,5 +1,6 @@
 // DispatchPool scheduling semantics: WFQ/DRR arbitration across the three
-// bands, the anti-starvation floor a strict-priority scan never had, CoDel
+// bands, the anti-starvation floor a strict-priority scan never had,
+// fairness charged in measured servant time, CoDel
 // shedding via DropDispatchJob, cancel/detach, the memory a detached runner
 // leaves behind, and a TSan-aimed stress mix with churning runners.
 #include "giop/dispatch_pool.h"
@@ -13,6 +14,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -295,7 +297,80 @@ TEST(DispatchSchedTest, StatsSnapshotCountsPerBand) {
   const std::string text = pool.DescribeStats();
   EXPECT_NE(text.find("class high"), std::string::npos);
   EXPECT_NE(text.find("class low"), std::string::npos);
+  EXPECT_NE(text.find("service_us="), std::string::npos);
   pool.Close();
+}
+
+// The qos_mix contract at pool level: two High-band bindings, a weight-3
+// flood whose upcalls take about 500 µs and a weight-8 binding with
+// trivial upcalls. The pool charges each job its binding's measured
+// servant time, so a DRR round lets the flood spend 300 µs (one job), not
+// run its whole backlog; the victim's job starts after at most 2 flood
+// jobs. Charging bytes (512 per job against a 12 KiB quantum) ran all 16
+// first. The test asserts the start order, not timings.
+TEST(DispatchSchedTest, SameBandFloodChargesServantTime) {
+  DispatchPool pool(OneWorker());
+  std::atomic<int> flood_started{0};
+  std::atomic<int> flood_before_victim{-1};
+  class Runner : public DispatchRunner {
+   public:
+    explicit Runner(std::function<void()> upcall)
+        : upcall_(std::move(upcall)) {}
+    void RunDispatchJob(const DispatchJob&) override { upcall_(); }
+
+   private:
+    std::function<void()> upcall_;
+  };
+  Runner flood([&] {
+    flood_started.fetch_add(1);
+    std::this_thread::sleep_for(microseconds(500));
+  });
+  Runner victim([&] {
+    if (flood_before_victim.load() < 0) {
+      flood_before_victim.store(flood_started.load());
+    }
+  });
+  Recorder gate;
+  const auto flood_id = pool.AllocRunnerId();
+  const auto victim_id = pool.AllocRunnerId();
+  const auto gate_id = pool.AllocRunnerId();
+  qos::SchedProfile flood_profile = InBand(kHigh);
+  flood_profile.weight = 3;
+  qos::SchedProfile victim_profile = InBand(kHigh);
+  victim_profile.weight = 8;
+
+  // Both bindings run once, so each has a measured average.
+  ASSERT_TRUE(pool.Submit(&flood, flood_id, flood_profile, MakeJob(1)));
+  ASSERT_TRUE(pool.Submit(&victim, victim_id, victim_profile, MakeJob(1)));
+  WaitFor([&] { return flood_before_victim.load() >= 0; }, seconds(10));
+  ASSERT_EQ(flood_before_victim.exchange(-1), 1);
+
+  // Freeze the worker, queue the flood's backlog, then the victim's job.
+  ASSERT_TRUE(pool.Submit(&gate, gate_id, InBand(kLow),
+                          MakeJob(Recorder::kGateId)));
+  WaitFor([&] { return gate.started() >= 1; }, seconds(10));
+  for (corba::ULong i = 0; i < 16; ++i) {
+    ASSERT_TRUE(pool.Submit(&flood, flood_id, flood_profile, MakeJob(i)));
+  }
+  ASSERT_TRUE(pool.Submit(&victim, victim_id, victim_profile, MakeJob(2)));
+
+  // What each job is charged: its binding's average upcall, in ns.
+  const auto stats = pool.StatsSnapshot();
+  std::uint64_t flood_price = 0;
+  std::uint64_t victim_price = 0;
+  for (const sched::FlowSnapshot& flow : stats[0].flows) {
+    if (flow.id == flood_id) flood_price = flow.price;
+    if (flow.id == victim_id) victim_price = flow.price;
+  }
+  EXPECT_GE(flood_price, 500'000u);  // the upcall sleeps 500 µs
+  EXPECT_LT(victim_price, flood_price);
+
+  const int flood_at_gate = flood_started.load();
+  gate.Open();
+  WaitFor([&] { return flood_before_victim.load() >= 0; }, seconds(10));
+  EXPECT_LE(flood_before_victim.load() - flood_at_gate, 2);
+  pool.Close();
+  EXPECT_EQ(flood_started.load(), 17);
 }
 
 // A runner the pool has detached leaves nothing behind: a server that has

@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "common/thread.h"
+
 namespace cool::stream {
 namespace {
 
@@ -76,7 +78,7 @@ class FlowPipeTest : public ::testing::Test {
     options.transport = dacapo::ChannelOptions::Transport::kDatagram;
     Result<std::unique_ptr<dacapo::Session>> rx(
         Status(InternalError("unset")));
-    std::thread accept_thread([&] { rx = acceptor_->Accept(); });
+    Thread accept_thread([&] { rx = acceptor_->Accept(); });
     dacapo::Connector connector(net_.get(), "tx");
     auto tx = connector.Connect({"rx", 6700}, options);
     accept_thread.join();
